@@ -17,7 +17,7 @@ from ricemele import (
     bootstrap_amplitude,
     chi_estimate,
     directionality,
-    dressed_decay_time,
+    decay_time,
     dressed_in_gap_mode,
     far_detuned_gap,
 )
@@ -35,8 +35,8 @@ def synthetic_amplitudes(n_bootstrap, seed):
     values, stds = {}, {}
     for state, vq in (("l", -FITTED.V), ("r", +FITTED.V)):
         params = FITTED.with_(VQ=vq)
-        t1 = dressed_decay_time(params, gap)
-        _, mode = dressed_in_gap_mode(params, gap)
+        energy, mode = dressed_in_gap_mode(params, gap)
+        t1 = decay_time(energy)
         rep = directionality(mode, mode_roles(), "left")
         bp = BlochParams(rabi_freq=F_RABI, T1=t1, T2=2.0 * t1,
                          w_left=rep.pop_left, w_right=rep.pop_right)

@@ -52,6 +52,7 @@ from .dynamics import (
     BlochParams,
     TimeTrace,
     bloch_rabi_trace,
+    decay_time,
     dressed_decay_time,
     dressed_in_gap_mode,
     evolve_single_excitation,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,9 +27,9 @@ from .errors import (
     ParameterError,
     RiceMeleError,
 )
-from .model import ModelParams, build_hamiltonian, params_from_config, parse_config
-from .spectral import eigenmodes, far_detuned_gap, in_gap_indices, sweep_qubit_energy, write_sweep_csv
-from .edge_states import directionality, working_points
+from .model import ModelParams, build_hamiltonian, parse_config
+from .spectral import far_detuned_gap, sweep_qubit_energy, write_sweep_csv
+from .edge_states import directionality, edge_mode, working_points
 from .scattering import (
     MAP_KINDS,
     resonance_grid,
@@ -39,7 +40,7 @@ from .scattering import (
 from .dynamics import (
     BlochParams,
     bloch_rabi_trace,
-    dressed_decay_time,
+    decay_time,
     dressed_in_gap_mode,
     evolve_single_excitation,
     integrated_port_emission,
@@ -103,9 +104,12 @@ class RunConfig:
                 raise ParameterError(f"config key {key!r} is required")
             return default
         try:
-            return float(self.raw[key])
+            value = float(self.raw[key])
         except ValueError:
             raise DataFormatError(f"config key {key!r} is not a number: {self.raw[key]!r}") from None
+        if not math.isfinite(value):
+            raise ParameterError(f"config key {key!r} must be finite, got {self.raw[key]!r}")
+        return value
 
     def integer(self, key: str, default=None) -> int:
         value = self.number(key, default)
@@ -120,19 +124,16 @@ class RunConfig:
             return default
         return self.raw[key]
 
-    def params(self) -> ModelParams:
-        lines = []
-        defaults = {"VM": "0", "sigmaL_re": "0", "sigmaL_im": "0",
-                    "sigmaR_re": "0", "sigmaR_im": "0", "f0": "0"}
-        for key in ("p", "V", "t1", "t2", "tQ", "VQ", "VM",
-                    "sigmaL_re", "sigmaL_im", "sigmaR_re", "sigmaR_im", "f0"):
-            if key in self.raw:
-                lines.append(f"{key} = {self.raw[key]}")
-            elif key in defaults:
-                lines.append(f"{key} = {defaults[key]}")
-            else:
-                raise ParameterError(f"model parameter {key!r} missing from config/preset")
-        return params_from_config("\n".join(lines))
+    def model(self) -> ModelParams:
+        """Model parameters; VM, the port self-energies and f0 default to 0."""
+        return ModelParams(
+            p=self.integer("p"), V=self.number("V"), t1=self.number("t1"),
+            t2=self.number("t2"), tQ=self.number("tQ"), VQ=self.number("VQ"),
+            VM=self.number("VM", 0.0),
+            sigmaL=complex(self.number("sigmaL_re", 0.0), self.number("sigmaL_im", 0.0)),
+            sigmaR=complex(self.number("sigmaR_re", 0.0), self.number("sigmaR_im", 0.0)),
+            f0=self.number("f0", 0.0),
+        )
 
     def grid(self, prefix: str) -> np.ndarray:
         start = self.number(f"{prefix}_start")
@@ -168,13 +169,13 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs: list) -
 
 def cmd_spectrum(cfg: RunConfig, outdir: Path) -> list:
     """Eigenvalue sweep CSV, edge-state population CSV, directionality JSON."""
-    params = cfg.params()
+    params = cfg.model()
     vq_grid = cfg.grid("VQ")
     sweep = sweep_qubit_energy(params, vq_grid)
     sweep_path = outdir / "sweep.csv"
     write_sweep_csv(sweep_path, sweep)
 
-    gap = far_detuned_gap(params)
+    gap = sweep.gap
     vq_left, vq_right = working_points(params, gap=gap)
     reports = {}
     pop_path = outdir / "edge_populations.csv"
@@ -182,15 +183,10 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path) -> list:
         writer = csv.writer(fh)
         writer.writerow(["direction", "VQ_MHz", "mode_index", "site", "probability"])
         for direction, vq in (("left", vq_left), ("right", vq_right)):
-            modes = eigenmodes(build_hamiltonian(params.with_(VQ=vq)))
-            idx = in_gap_indices(modes, gap)
-            if not idx:
+            found = edge_mode(params.with_(VQ=vq), gap, direction)
+            if found is None:
                 raise NotFoundError(f"no in-gap mode at the {direction} working point")
-            best = max(
-                idx,
-                key=lambda k: directionality(modes.eigenvectors[:, k], modes.roles, direction).chi,
-            )
-            rep = directionality(modes.eigenvectors[:, best], modes.roles, direction)
+            modes, best, rep = found
             reports[direction] = {"VQ_MHz": vq, "mode_index": best, **rep.as_dict()}
             prob = np.abs(modes.eigenvectors[:, best]) ** 2
             for site in range(1, modes.roles.dim + 1):
@@ -208,15 +204,14 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path) -> list:
 
 def cmd_scatter(cfg: RunConfig, outdir: Path) -> list:
     """Transmission/LDOS maps plus a far-detuned peak report."""
-    params = cfg.params()
+    params = cfg.model()
     vq_grid = cfg.grid("VQ")
+    far = params.far_detuned()
+    far_grid = resonance_grid(far, cfg.integer("E_points", 2001))
     if "E_start" in cfg.raw and "E_stop" in cfg.raw:
         e_grid = cfg.grid("E")
     else:
-        e_grid = resonance_grid(
-            params.with_(VQ=10.0 * max(params.t1, params.t2) + params.VM),
-            cfg.integer("E_points", 2001),
-        )
+        e_grid = far_grid
     kind = cfg.text("map_kind", "S_RL")
     kinds = list(MAP_KINDS[:4]) if kind == "all" else [kind]
 
@@ -230,9 +225,7 @@ def cmd_scatter(cfg: RunConfig, outdir: Path) -> list:
         outputs += [csv_path, json_path]
 
     # peak report on a dedicated far-detuned slice
-    far = params.with_(VQ=10.0 * max(params.t1, params.t2) + params.VM)
-    grid = resonance_grid(far, cfg.integer("E_points", 2001))
-    smap = transmission_map(far, grid, [far.VQ], kind="S_RL")
+    smap = transmission_map(far, far_grid, [far.VQ], kind="S_RL")
     peaks = extract_peaks(
         smap.E_grid, smap.values[:, 0], cfg.number("peak_prominence", 1e-3),
         flux_or_vq=far.VQ, source="far-detuned model slice",
@@ -249,7 +242,7 @@ def cmd_scatter(cfg: RunConfig, outdir: Path) -> list:
 
 def cmd_emit(cfg: RunConfig, outdir: Path) -> list:
     """Single-excitation lattice emission plus a Bloch-model Rabi trace."""
-    params = cfg.params()
+    params = cfg.model()
     t_grid = np.linspace(0.0, cfg.number("t_stop", 1500.0), cfg.integer("t_points", 3001))
 
     H = build_hamiltonian(params, include_ports=True)
@@ -260,9 +253,8 @@ def cmd_emit(cfg: RunConfig, outdir: Path) -> list:
     write_trace_csv(lattice_path, lattice)
     wl, wr = integrated_port_emission(lattice)
 
-    gap = far_detuned_gap(params)
-    t1 = dressed_decay_time(params, gap)
-    _, mode = dressed_in_gap_mode(params, gap)
+    energy, mode = dressed_in_gap_mode(params, far_detuned_gap(params))
+    t1 = decay_time(energy)
     rep = directionality(mode, H.roles, "left")
     w_left = cfg.number("w_left", rep.pop_left)
     w_right = cfg.number("w_right", rep.pop_right)
@@ -335,7 +327,7 @@ def cmd_fit(cfg: RunConfig, outdir: Path, peaks_path, gaps_path) -> list:
         raise ParameterError("fit requires --peaks CSV")
     peaks = _read_peaks_csv(peaks_path)
     gaps = _read_gaps_csv(gaps_path) if gaps_path else []
-    initial = cfg.params()
+    initial = cfg.model()
     fixed = tuple(s for s in cfg.text("fixed", "").split(",") if s)
     if not gaps and "tQ" not in fixed:
         fixed = fixed + ("tQ",)
@@ -446,7 +438,8 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, NotFoundError, InsufficientModesError) as exc:
+    except (NumericalError, NotFoundError, InsufficientModesError,
+            np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     except RiceMeleError as exc:

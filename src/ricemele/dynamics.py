@@ -134,16 +134,21 @@ def dressed_in_gap_mode(params: ModelParams, gap: BandGap = None):
     return lam[k], u[:, k]
 
 
-def dressed_decay_time(params: ModelParams, gap: BandGap = None) -> float:
-    """Population lifetime (ns) of the dressed in-gap qubit mode.
+def decay_time(energy: complex) -> float:
+    """Population lifetime (ns) of a mode with complex energy E (MHz).
 
     T1 = 1 / (2 k |Im E|) with k the MHz-to-rad/ns factor; a closed system
     (|Im E| ~ 0) returns math.inf.
     """
-    e, _ = dressed_in_gap_mode(params, gap)
-    if abs(e.imag) < CLOSED_IM_E:
+    if abs(energy.imag) < CLOSED_IM_E:
         return math.inf
-    return 1.0 / (2.0 * RAD_PER_NS_PER_MHZ * abs(e.imag))
+    return 1.0 / (2.0 * RAD_PER_NS_PER_MHZ * abs(energy.imag))
+
+
+def dressed_decay_time(params: ModelParams, gap: BandGap = None) -> float:
+    """Population lifetime (ns) of the dressed in-gap qubit mode (decay_time)."""
+    e, _ = dressed_in_gap_mode(params, gap)
+    return decay_time(e)
 
 
 def infer_port_self_energy(

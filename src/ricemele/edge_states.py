@@ -95,17 +95,25 @@ def directionality(mode, roles: SiteRoles, direction: str) -> DirectionalityRepo
     )
 
 
+def edge_mode(params: ModelParams, gap: BandGap, direction: str):
+    """The in-gap mode of H(params) with the largest chi toward direction.
+
+    Returns (modes, index, report), the first such mode on ties, or None
+    when no mode lies inside the gap.
+    """
+    modes = eigenmodes(build_hamiltonian(params))
+    best = None
+    for k in in_gap_indices(modes, gap):
+        rep = directionality(modes.eigenvectors[:, k], modes.roles, direction)
+        if best is None or rep.chi > best[2].chi:
+            best = (modes, k, rep)
+    return best
+
+
 def _best_in_gap_chi(params: ModelParams, vq: float, gap: BandGap, direction: str) -> float:
     """Largest chi over the in-gap modes at one qubit energy; nan if none."""
-    modes = eigenmodes(build_hamiltonian(params.with_(VQ=float(vq))))
-    idx = in_gap_indices(modes, gap)
-    if not idx:
-        return math.nan
-    best = -math.inf
-    for k in idx:
-        rep = directionality(modes.eigenvectors[:, k], modes.roles, direction)
-        best = max(best, rep.chi)
-    return best
+    best = edge_mode(params.with_(VQ=float(vq)), gap, direction)
+    return math.nan if best is None else best[2].chi
 
 
 def working_points(
@@ -159,8 +167,7 @@ def bidirectional_point(params: ModelParams, gap: BandGap = None) -> float:
     """
     if gap is None:
         gap = far_detuned_gap(params)
-    vq_far = 10.0 * max(params.t1, params.t2, abs(params.V), 1.0) + params.VM
-    modes = eigenmodes(build_hamiltonian(params.with_(VQ=vq_far)))
+    modes = eigenmodes(build_hamiltonian(params.far_detuned()))
     idx = in_gap_indices(modes, gap)
     if not idx:
         raise NotFoundError("no in-gap waveguide state to anchor the bidirectional point")

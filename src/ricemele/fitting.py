@@ -17,10 +17,10 @@ from scipy.linalg import lapack
 from scipy.optimize import minimize, minimize_scalar
 from scipy.signal import find_peaks
 
-from .errors import NumericalError, ParameterError
-from .model import ModelParams
+from .errors import InsufficientModesError, NumericalError, ParameterError
+from .model import ModelParams, _waveguide_tridiagonal, site_roles
 from .scattering import SpectrumMap
-from .spectral import LOCALIZED_PR_FRACTION, WEIGHT_EXCLUDE
+from .spectral import locate_gap, participation
 
 STAGE1_NAMES = ("t1", "t2", "V", "VM", "f0")
 FIT_NAMES = STAGE1_NAMES + ("tQ",)
@@ -136,25 +136,6 @@ def extract_peaks(
     return PeakSet(peaks=peaks, source=source)
 
 
-def _waveguide_tridiagonal(p: int, V: float, t1: float, t2: float, VM: float):
-    """Diagonal and off-diagonal of the 4p+3 site waveguide block."""
-    n = 4 * p + 3
-    d = np.empty(n)
-    d[0: 2 * p + 1: 2] = -V
-    d[1: 2 * p + 1: 2] = +V
-    d[2 * p + 1] = VM
-    d[2 * p + 2] = +V
-    d[2 * p + 3:: 2] = -V
-    d[2 * p + 4:: 2] = +V
-    e = np.empty(n - 1)
-    e[0: 2 * p: 2] = -t2
-    e[1: 2 * p: 2] = -t1
-    e[2 * p: 2 * p + 3] = -t1
-    e[2 * p + 3:: 2] = -t2
-    e[2 * p + 4:: 2] = -t1
-    return d, e
-
-
 def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, vectors: bool = False):
     """Thin LAPACK stev wrapper; much lower overhead than the scipy front end."""
     w, z, info = lapack.dstev(d, e, compute_v=int(vectors))
@@ -174,33 +155,6 @@ def model_peak_frequencies(params: ModelParams) -> np.ndarray:
     return waveguide_eigenvalues(params) + params.f0
 
 
-def waveguide_gap_bounds(params: ModelParams) -> tuple[float, float]:
-    """Band-gap interval of the bare waveguide block.
-
-    Same rule as spectral.band_gap restricted to the 4p+3 waveguide sites:
-    drop central-site-dominant and localized modes, then take the widest
-    interval between consecutive remaining eigenvalues whose midpoint lies
-    within +-(t1+t2) of the band centre.
-    """
-    d, e = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
-    evals, evecs = _tridiagonal_eigh(d, e, vectors=True)
-    prob = evecs**2
-    pr = 1.0 / np.sum(prob**2, axis=0)
-    keep = (prob[2 * params.p + 1] <= WEIGHT_EXCLUDE) & (
-        pr >= LOCALIZED_PR_FRACTION * np.median(pr)
-    )
-    band = evals[keep]
-    if band.size < 4:
-        raise ParameterError("too few extended waveguide modes to locate a gap")
-    spacings = np.diff(band)
-    midpoints = 0.5 * (band[:-1] + band[1:])
-    eligible = np.abs(midpoints - band.mean()) <= (params.t1 + params.t2)
-    if not eligible.any():
-        raise ParameterError("no eligible gap interval near the band centre")
-    widest = np.flatnonzero(eligible)[np.argmax(spacings[eligible])]
-    return float(band[widest]), float(band[widest + 1])
-
-
 class _GapModel:
     """Anti-crossing gap sizes with the waveguide block frozen.
 
@@ -213,8 +167,17 @@ class _GapModel:
         d, e = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
         evals, evecs = _tridiagonal_eigh(d, e, vectors=True)
         self.evals = evals
-        self.psi_m = evecs[2 * params.p + 1, :]
-        self.lower, self.upper = bounds if bounds else waveguide_gap_bounds(params)
+        m = site_roles(params.p).M - 1
+        self.psi_m = evecs[m, :]
+        if bounds:
+            self.lower, self.upper = bounds
+        else:
+            # gap of the bare block, not far_detuned_gap: even a parked qubit moves
+            # the edges by ~0.2 MHz. With no qubit row only M can dominate a mode.
+            prob = evecs**2
+            _, localized = participation(prob)
+            gap = locate_gap(evals, prob[m], localized, params)
+            self.lower, self.upper = gap.lower, gap.upper
         self.n = len(evals) + 1
 
     def gaps_at(self, tq: float, vqs: np.ndarray) -> np.ndarray:
@@ -369,7 +332,7 @@ def fit_hamiltonian(
     if "tQ" not in fixed and not gaps:
         raise ParameterError("tQ is free but no anti-crossing gaps were provided")
 
-    n_modes = 4 * initial.p + 3
+    n_modes = site_roles(initial.p).portR
     if len(far_detuned_peaks) != n_modes:
         raise ParameterError(
             f"need one peak per waveguide mode: got {len(far_detuned_peaks)}, expected {n_modes}"
@@ -432,7 +395,7 @@ def bootstrap_fit(
                 point.best, fixed, np.random.default_rng(0),
                 1, peak_pick, freq[peak_pick], sub_gaps,
             )
-        except (NumericalError, ParameterError, np.linalg.LinAlgError):
+        except (NumericalError, ParameterError, InsufficientModesError, np.linalg.LinAlgError):
             return None
         return [getattr(params, name) for name in fitted]
 

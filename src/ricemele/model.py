@@ -10,6 +10,7 @@ frequencies in MHz; time-domain code converts via RAD_PER_NS_PER_MHZ.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +52,9 @@ class ModelParams:
     f0: float = 0.0
 
     def __post_init__(self):
+        for name in ("p", "V", "t1", "t2", "tQ", "VQ", "VM", "sigmaL", "sigmaR", "f0"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if int(self.p) != self.p or self.p < 1:
             raise ParameterError(f"p must be an integer >= 1, got {self.p}")
         for name in ("t1", "t2", "tQ"):
@@ -63,6 +67,11 @@ class ModelParams:
     def with_(self, **changes) -> "ModelParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
+
+    def far_detuned(self) -> "ModelParams":
+        """Copy with the qubit parked far outside the bands: VQ sits ten times
+        the largest of t1, t2, |V| and 1 MHz above VM."""
+        return replace(self, VQ=10.0 * max(self.t1, self.t2, abs(self.V), 1.0) + self.VM)
 
     def port_rates(self) -> tuple[float, float]:
         """Decay rates (Gamma_L, Gamma_R) = -2 Im(sigma) in MHz."""
@@ -115,46 +124,50 @@ class LabeledHamiltonian:
     hermitian: bool
 
 
+def _waveguide_tridiagonal(p: int, V: float, t1: float, t2: float, VM: float):
+    """Diagonal d and off-diagonal e of the waveguide block, sites 1..portR.
+
+    Sites 1..NL alternate -V, +V starting at -V; M carries VM; NR carries +V;
+    sites NR+1..portR alternate starting at -V. The bonds are the negatives
+    of the couplings: t2 on the strong bonds at both chain ends, t1 on the
+    weak bonds and the three bonds surrounding M.
+    """
+    r = site_roles(p)
+    d = np.empty(r.portR)
+    d[0: r.NL: 2] = -V
+    d[1: r.NL: 2] = +V
+    d[r.M - 1] = VM
+    d[r.NR - 1] = +V
+    d[r.NR:: 2] = -V
+    d[r.NR + 1:: 2] = +V
+    e = np.empty(r.portR - 1)
+    e[0: r.NL - 1: 2] = -t2
+    e[1: r.NL - 1: 2] = -t1
+    e[r.NL - 1: r.NR] = -t1
+    e[r.NR:: 2] = -t2
+    e[r.NR + 1:: 2] = -t1
+    return d, e
+
+
 def build_hamiltonian(params: ModelParams, include_ports: bool = False) -> LabeledHamiltonian:
     """Construct the full chain + qubit Hamiltonian.
 
-    Diagonal: sites 1..NL alternate -V, +V starting at -V; M carries VM;
-    NR carries +V; sites NR+1..portR alternate starting at -V; Q carries VQ.
-    Off-diagonal entries are the negatives of the couplings, placed on the
-    nearest-neighbour waveguide bonds (t2 on the strong bonds at both chain
-    ends, t1 on the weak bonds and the three bonds surrounding M) and on the
-    single (M, Q) qubit bond. With include_ports the self-energies sigmaL and
-    sigmaR are added to the diagonal at the two port sites, which makes the
-    matrix non-Hermitian for lossy ports.
+    The waveguide block is the tridiagonal (d, e) of _waveguide_tridiagonal;
+    the qubit site Q carries VQ and the single (M, Q) bond -tQ. With
+    include_ports the self-energies sigmaL and sigmaR are added to the
+    diagonal at the two port sites, which makes the matrix non-Hermitian for
+    lossy ports.
     """
     roles = site_roles(params.p)
-    n = roles.dim
-    h = np.zeros((n, n), dtype=complex)
-    p, V = params.p, params.V
-
-    for m in range(1, roles.NL + 1):
-        h[m - 1, m - 1] = -V if m % 2 == 1 else +V
-    h[roles.M - 1, roles.M - 1] = params.VM
-    h[roles.NR - 1, roles.NR - 1] = +V
-    for k, m in enumerate(range(roles.NR + 1, roles.portR + 1)):
-        h[m - 1, m - 1] = -V if k % 2 == 0 else +V
-    h[roles.Q - 1, roles.Q - 1] = params.VQ
-
-    def bond(a: int, b: int, t: float) -> None:
-        h[a - 1, b - 1] = -t
-        h[b - 1, a - 1] = -t
-
-    for l in range(1, p + 1):
-        bond(2 * l - 1, 2 * l, params.t2)
-        bond(2 * l, 2 * l + 1, params.t1)
-    bond(roles.NL, roles.M, params.t1)
-    bond(roles.M, roles.NR, params.t1)
-    bond(roles.NR, roles.NR + 1, params.t1)
-    for l in range(1, p + 1):
-        bond(roles.NR + 2 * l - 1, roles.NR + 2 * l, params.t2)
-    for l in range(1, p):
-        bond(roles.NR + 2 * l, roles.NR + 2 * l + 1, params.t1)
-    bond(roles.M, roles.Q, params.tQ)
+    d, e = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
+    h = np.zeros((roles.dim, roles.dim), dtype=complex)
+    sites = np.arange(roles.portR)
+    h[sites, sites] = d
+    h[sites[:-1], sites[1:]] = e
+    h[sites[1:], sites[:-1]] = e
+    q, m = roles.Q - 1, roles.M - 1
+    h[q, q] = params.VQ
+    h[m, q] = h[q, m] = -params.tQ
 
     if include_ports:
         h[roles.portL - 1, roles.portL - 1] += complex(params.sigmaL)

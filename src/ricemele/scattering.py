@@ -157,13 +157,15 @@ def resonance_grid(params: ModelParams, n_points: int, pad: float = 50.0) -> np.
 
 
 def write_map_csv(path, smap: SpectrumMap) -> None:
-    """Long-form CSV: E_MHz, VQ_MHz, value."""
+    """Long-form CSV: E_MHz, VQ_MHz, value. E is written in its shortest
+    round-trip form so the dense resonance_grid windows read back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["E_MHz", "VQ_MHz", "value"])
         for i, e in enumerate(smap.E_grid):
+            e_txt = repr(float(e)).removesuffix(".0")
             for j, vq in enumerate(smap.VQ_grid):
-                writer.writerow([f"{e:.10g}", f"{vq:.10g}", f"{smap.values[i, j]:.10g}"])
+                writer.writerow([e_txt, f"{vq:.10g}", f"{smap.values[i, j]:.10g}"])
 
 
 def write_map_header_json(path, smap: SpectrumMap, csv_name: str) -> None:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientModesError, NumericalError, ParameterError
-from .model import LabeledHamiltonian, ModelParams, SiteRoles, build_hamiltonian
+from .model import LabeledHamiltonian, ModelParams, SiteRoles, build_hamiltonian, site_roles
 
 # a candidate band mode must keep qubit and central weight below this
 WEIGHT_EXCLUDE = 0.5
@@ -26,7 +26,6 @@ class ModeSet:
     qubit_weight / central_weight are |amplitude|^2 on the Q / M site,
     participation_ratio is 1 / sum_i |psi_i|^4, and localized flags modes
     whose participation ratio falls well below the median (bound states).
-    in_gap is all-False until classified against a BandGap.
     """
 
     eigenvalues: np.ndarray
@@ -35,17 +34,10 @@ class ModeSet:
     central_weight: np.ndarray
     participation_ratio: np.ndarray
     localized: np.ndarray
-    in_gap: np.ndarray
     roles: SiteRoles
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-    def with_in_gap(self, gap: "BandGap") -> "ModeSet":
-        """Copy with in_gap flags set from the given gap."""
-        flags = np.zeros(len(self), dtype=bool)
-        flags[gap.in_gap_mode_indices] = True
-        return replace(self, in_gap=flags)
 
 
 @dataclass(frozen=True)
@@ -92,8 +84,7 @@ def eigenmodes(H: LabeledHamiltonian) -> ModeSet:
     evals, evecs = evals[order], evecs[:, order]
 
     prob = np.abs(evecs) ** 2
-    pr = 1.0 / np.sum(prob**2, axis=0)
-    localized = pr < LOCALIZED_PR_FRACTION * np.median(pr)
+    pr, localized = participation(prob)
     return ModeSet(
         eigenvalues=evals,
         eigenvectors=evecs,
@@ -101,28 +92,38 @@ def eigenmodes(H: LabeledHamiltonian) -> ModeSet:
         central_weight=prob[H.roles.M - 1],
         participation_ratio=pr,
         localized=localized,
-        in_gap=np.zeros(len(evals), dtype=bool),
         roles=H.roles,
     )
 
 
-def band_gap(modes: ModeSet, params: ModelParams) -> BandGap:
-    """Locate the band gap from the extended (band) modes of a ModeSet.
+def participation(prob: np.ndarray):
+    """Participation ratio of each column of prob = |psi|^2, and whether it
+    falls below LOCALIZED_PR_FRACTION of the median (a localized mode)."""
+    pr = 1.0 / np.sum(prob**2, axis=0)
+    return pr, pr < LOCALIZED_PR_FRACTION * np.median(pr)
 
-    Modes dominated by the qubit or central site (weight > 0.5) and bound
-    states flagged as localized are excluded; among the remaining band modes
-    the gap is the widest interval between consecutive eigenvalue real parts
-    whose midpoint lies within +-(t1+t2) of the band centre. Modes of the
-    input set whose eigenvalue lies strictly inside are listed in
-    in_gap_mode_indices. A gap not clearly wider than the typical band
-    spacing is reported with degenerate=True.
+
+def band_gap(modes: ModeSet, params: ModelParams) -> BandGap:
+    """Band gap of a ModeSet by locate_gap, with qubit- and central-site-
+    dominated modes excluded."""
+    dominant = np.maximum(modes.qubit_weight, modes.central_weight)
+    return locate_gap(modes.eigenvalues.real, dominant, modes.localized, params)
+
+
+def locate_gap(energies, dominant_weight, localized, params: ModelParams) -> BandGap:
+    """The band-gap rule, for any set of modes with real energies.
+
+    Modes whose dominant_weight (largest weight on a site that does not
+    belong to the bands, such as M or Q) exceeds 0.5 and bound states flagged
+    as localized are excluded; among the remaining band modes the gap is the
+    widest interval between consecutive energies whose midpoint lies within
+    +-(t1+t2) of the band centre. Modes whose energy lies strictly inside
+    are listed in in_gap_mode_indices. A gap not clearly wider than the
+    typical band spacing is reported with degenerate=True.
     """
-    keep = ~(
-        (modes.qubit_weight > WEIGHT_EXCLUDE)
-        | (modes.central_weight > WEIGHT_EXCLUDE)
-        | modes.localized
-    )
-    band = np.sort(modes.eigenvalues[keep].real)
+    energies = np.asarray(energies)
+    keep = ~((dominant_weight > WEIGHT_EXCLUDE) | localized)
+    band = np.sort(energies[keep])
     if len(band) < 4:
         raise InsufficientModesError(
             f"only {len(band)} band modes left after exclusion; need >= 4"
@@ -138,9 +139,7 @@ def band_gap(modes: ModeSet, params: ModelParams) -> BandGap:
     lower, upper = float(band[widest]), float(band[widest + 1])
 
     degenerate = (upper - lower) < DEGENERATE_SPACING_FACTOR * float(np.median(spacings))
-    inside = np.flatnonzero(
-        (modes.eigenvalues.real > lower) & (modes.eigenvalues.real < upper)
-    )
+    inside = np.flatnonzero((energies > lower) & (energies < upper))
     return BandGap(
         lower=lower,
         upper=upper,
@@ -155,14 +154,10 @@ def in_gap_indices(modes: ModeSet, gap: BandGap) -> list:
     return [int(i) for i in np.flatnonzero(inside)]
 
 
-def far_detuned_gap(params: ModelParams, side: int = +1) -> BandGap:
-    """Band gap computed with the qubit parked far outside the bands.
-
-    Far-detuned means |VQ| >= 10 * max(t1, t2) away from the band centre,
-    which decouples the qubit from the gap region.
-    """
-    vq = side * 10.0 * max(params.t1, params.t2, abs(params.V), 1.0) + params.VM
-    modes = eigenmodes(build_hamiltonian(params.with_(VQ=vq)))
+def far_detuned_gap(params: ModelParams) -> BandGap:
+    """Band gap computed with the qubit parked far outside the bands
+    (ModelParams.far_detuned), which decouples it from the gap region."""
+    modes = eigenmodes(build_hamiltonian(params.far_detuned()))
     return band_gap(modes, params)
 
 
@@ -184,14 +179,7 @@ class QubitSweep:
     qubit_weight: np.ndarray
     central_weight: np.ndarray
     in_gap: np.ndarray            # bool, same shape
-
-    def in_gap_table(self) -> list:
-        """(VQ, eigenvalue) pairs for every in-gap mode, sweep order."""
-        rows = []
-        for i, vq in enumerate(self.vq_grid):
-            for k in np.flatnonzero(self.in_gap[i]):
-                rows.append((float(vq), complex(self.eigenvalues[i, k])))
-        return rows
+    gap: BandGap                  # far-detuned gap the in_gap flags refer to
 
 
 def sweep_qubit_energy(
@@ -205,8 +193,7 @@ def sweep_qubit_energy(
         raise ParameterError("VQ grid must be non-empty")
 
     gap = far_detuned_gap(params)
-    n = 4 * params.p + 4
-    shape = (vq_grid.size, n)
+    shape = (vq_grid.size, site_roles(params.p).dim)
     evals = np.empty(shape, dtype=complex)
     qw = np.empty(shape)
     cw = np.empty(shape)
@@ -217,7 +204,7 @@ def sweep_qubit_energy(
         qw[i] = modes.qubit_weight
         cw[i] = modes.central_weight
         in_gap[i, in_gap_indices(modes, gap)] = True
-    return QubitSweep(vq_grid, evals, qw, cw, in_gap)
+    return QubitSweep(vq_grid, evals, qw, cw, in_gap, gap)
 
 
 def match_branches(prev: np.ndarray, cur: np.ndarray, prev_vecs=None, cur_vecs=None):

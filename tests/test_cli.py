@@ -49,6 +49,56 @@ def test_empty_vq_grid_is_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_non_finite_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(
+        "p = 2\nV = nan\nt1 = 100\nt2 = 140\ntQ = 50\nVQ = 0\nVM = 0\n"
+        "sigmaL_im = -10\nsigmaR_im = -10\nE_points = 41\n"
+        "VQ_start = -10\nVQ_stop = 10\nVQ_points = 2\n"
+    )
+    rc = _run(["scatter", "--config", cfg, "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "usage error" in err and "Traceback" not in err
+    assert not list((tmp_path / "out").glob("map_*.csv"))
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
+def test_linear_algebra_failure_is_numerical_error(tmp_path, monkeypatch, capsys, error):
+    import ricemele.cli as cli
+
+    def broken(cfg, outdir, trace_paths):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cli, "cmd_chi", broken)
+    assert _run(["chi", "--preset", "appc", "--out", tmp_path]) == 4
+    assert "numerical error" in capsys.readouterr().err
+
+
+def test_scatter_parks_qubit_where_far_detuned_gap_does(tmp_path, monkeypatch):
+    # |V| > max(t1, t2): the parking energy is 10 |V| + VM
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(
+        "p = 2\nV = 300\nt1 = 100\nt2 = 140\ntQ = 50\nVQ = 0\nVM = 20\n"
+        "sigmaL_im = -10\nsigmaR_im = -10\nE_points = 201\n"
+        "VQ_start = -10\nVQ_stop = 10\nVQ_points = 2\n"
+    )
+    assert _run(["scatter", "--config", cfg, "--out", tmp_path]) == 0
+    peaks = _read_csv(tmp_path / "far_detuned_peaks.csv")
+    assert len(peaks) > 1
+    scatter_vq = float(peaks[1][0])
+    assert scatter_vq == 3020.0
+
+    import ricemele.spectral as spectral
+
+    built = []
+    real_build = spectral.build_hamiltonian
+    monkeypatch.setattr(spectral, "build_hamiltonian",
+                        lambda params, *a: built.append(params.VQ) or real_build(params, *a))
+    spectral.far_detuned_gap(ModelParams(p=2, V=300.0, t1=100.0, t2=140.0, tQ=50.0, VQ=0.0, VM=20.0))
+    assert built == [scatter_vq]
+
+
 SMALL_SPECTRUM_CFG = (
     "p = 2\nV = 30\nt1 = 100\nt2 = 140\ntQ = 50\nVQ = -30\nVM = 0\n"
     "VQ_start = -50\nVQ_stop = 50\nVQ_points = 9\n"

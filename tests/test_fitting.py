@@ -240,6 +240,36 @@ def test_bootstrap_aborts_when_refits_keep_failing(monkeypatch):
         fitting.bootstrap_fit(obs, point.best, n=100, seed=1)
 
 
+def test_bootstrap_counts_gap_rule_failure_as_one_failed_resample(monkeypatch):
+    import ricemele.fitting as fitting
+
+    obs = _synthetic(1.0, 13)
+    real_locate_gap = fitting.locate_gap
+    calls = {"n": 0}
+
+    def failing(*args, **kwargs):
+        calls["n"] += 1
+        # call 1 is the point fit; calls 2..12 are the first 11 of 100 resamples
+        if 2 <= calls["n"] <= 12:
+            raise fitting.InsufficientModesError("synthetic gap-rule failure")
+        return real_locate_gap(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "locate_gap", failing)
+    with pytest.raises(fitting.NumericalError, match="11/100 bootstrap refits failed"):
+        fitting.bootstrap_fit(obs, INITIAL, n=100, seed=1)
+    assert calls["n"] == 101
+
+
+def test_gap_model_edges_of_fitted_device(fitted_params):
+    # the bare waveguide block, not the far-detuned chain: a parked qubit
+    # moves these edges to (-73.496, 149.261) MHz
+    from ricemele.fitting import _GapModel
+
+    model = _GapModel(fitted_params)
+    assert model.lower == pytest.approx(-73.2806931319502, abs=1e-12)
+    assert model.upper == pytest.approx(149.39367238654432, abs=1e-12)
+
+
 def test_bootstrap_is_deterministic_across_thread_counts():
     obs = _synthetic(2.0, 17)
     serial = bootstrap_fit(obs, INITIAL, n=120, seed=6, threads=1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,78 @@ def test_ports_enter_diagonal(fitted_params):
     assert H.matrix[r.portL - 1, r.portL - 1] == complex(-40.0, -18.0)
     assert H.matrix[r.portR - 1, r.portR - 1] == complex(+40.0, -18.0)
     assert not H.hermitian
+
+
+def _loop_hamiltonian(params, include_ports=False):
+    """Site-by-site builder that build_hamiltonian replaced; kept as the reference."""
+    roles = site_roles(params.p)
+    n = roles.dim
+    h = np.zeros((n, n), dtype=complex)
+    p, V = params.p, params.V
+
+    for m in range(1, roles.NL + 1):
+        h[m - 1, m - 1] = -V if m % 2 == 1 else +V
+    h[roles.M - 1, roles.M - 1] = params.VM
+    h[roles.NR - 1, roles.NR - 1] = +V
+    for k, m in enumerate(range(roles.NR + 1, roles.portR + 1)):
+        h[m - 1, m - 1] = -V if k % 2 == 0 else +V
+    h[roles.Q - 1, roles.Q - 1] = params.VQ
+
+    def link(a, b, t):
+        h[a - 1, b - 1] = -t
+        h[b - 1, a - 1] = -t
+
+    for l in range(1, p + 1):
+        link(2 * l - 1, 2 * l, params.t2)
+        link(2 * l, 2 * l + 1, params.t1)
+    link(roles.NL, roles.M, params.t1)
+    link(roles.M, roles.NR, params.t1)
+    link(roles.NR, roles.NR + 1, params.t1)
+    for l in range(1, p + 1):
+        link(roles.NR + 2 * l - 1, roles.NR + 2 * l, params.t2)
+    for l in range(1, p):
+        link(roles.NR + 2 * l, roles.NR + 2 * l + 1, params.t1)
+    link(roles.M, roles.Q, params.tQ)
+
+    if include_ports:
+        h[roles.portL - 1, roles.portL - 1] += complex(params.sigmaL)
+        h[roles.portR - 1, roles.portR - 1] += complex(params.sigmaR)
+    return h
+
+
+@pytest.mark.parametrize("include_ports", [False, True])
+def test_build_matches_loop_reference(include_ports):
+    rng = np.random.default_rng(118)
+    for p in range(1, 9):
+        for _ in range(25):
+            v, t1, t2, tq, vq, vm = rng.uniform(-300.0, 300.0, 6)
+            params = ModelParams(
+                p=p, V=v, t1=abs(t1), t2=abs(t2), tQ=abs(tq), VQ=vq, VM=vm,
+                sigmaL=complex(rng.normal(0.0, 5.0), -rng.uniform(0.0, 30.0)),
+                sigmaR=complex(rng.normal(0.0, 5.0), -rng.uniform(0.0, 30.0)),
+            )
+            H = build_hamiltonian(params, include_ports=include_ports)
+            assert np.array_equal(H.matrix, _loop_hamiltonian(params, include_ports))
+            assert H.hermitian is not include_ports
+
+
+def test_non_finite_parameters_rejected():
+    base = dict(p=2, V=1.0, t1=1.0, t2=2.0, tQ=0.5, VQ=0.0)
+    for name in ("p", "V", "t1", "t2", "tQ", "VQ", "VM", "f0", "sigmaL", "sigmaR"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match=f"{name} must be finite"):
+                ModelParams(**{**base, name: bad})
+    with pytest.raises(ParameterError):
+        ModelParams(**base, sigmaL=complex(0.0, -math.inf))
+
+
+def test_far_detuned_parking_energy():
+    params = ModelParams(p=2, V=30.0, t1=100.0, t2=140.0, tQ=50.0, VQ=-30.0, VM=7.0)
+    assert params.far_detuned().VQ == 10.0 * 140.0 + 7.0
+    assert params.with_(V=-500.0).far_detuned().VQ == 10.0 * 500.0 + 7.0
+    tiny = params.with_(V=0.1, t1=0.2, t2=0.3)
+    assert tiny.far_detuned().VQ == 10.0 + 7.0
+    assert params.far_detuned().with_(VQ=params.VQ) == params
 
 
 def test_passive_port_validation():

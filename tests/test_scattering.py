@@ -215,6 +215,20 @@ def test_map_exports(tmp_path, fitted_params):
     assert header["n_E"] == 2 and header["n_VQ"] == 3
 
 
+def test_map_csv_reads_back_fig3_resonance_grid(tmp_path, fitted_params):
+    # the dense windows around the ~1e-6 MHz wide central-site resonance
+    # need more than 10 significant digits of E to stay distinct
+    grid = resonance_grid(fitted_params.far_detuned(), 2001)
+    smap = SpectrumMap(E_grid=grid, VQ_grid=np.array([-40.0, 0.0]),
+                       values=np.zeros((grid.size, 2)), kind="S_RL")
+    csv_path = tmp_path / "map.csv"
+    write_map_csv(csv_path, smap)
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    back = np.array([float(r[0]) for r in rows[::2]])
+    assert np.array_equal(back, grid)
+    assert np.unique(back).size == back.size
+
+
 def test_map_validation(fitted_params):
     with pytest.raises(ParameterError):
         transmission_map(fitted_params, [], [0.0])

@@ -127,7 +127,6 @@ def test_gap_insufficient_modes():
         central_weight=np.zeros(3),
         participation_ratio=np.ones(3),
         localized=np.zeros(3, dtype=bool),
-        in_gap=np.zeros(3, dtype=bool),
         roles=roles,
     )
     params = ModelParams(p=1, V=1.0, t1=1.0, t2=1.0, tQ=0.0, VQ=0.0)
