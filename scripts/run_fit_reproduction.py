@@ -25,7 +25,6 @@ if __name__ == "__main__":
     parser.add_argument("--bootstrap", type=int, default=10000)
     parser.add_argument("--jitter", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -41,7 +40,7 @@ if __name__ == "__main__":
     start = time.time()
     result = bootstrap_fit(
         FitObservations(peaks=peaks, gaps=gaps), INITIAL,
-        n=args.bootstrap, seed=args.seed, threads=args.threads,
+        n=args.bootstrap, seed=args.seed,
     )
     elapsed = time.time() - start
 

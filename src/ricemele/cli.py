@@ -93,10 +93,9 @@ PRESETS = {
 class RunConfig:
     """Merged preset/config-file key-value store with typed accessors."""
 
-    def __init__(self, raw: dict, seed: int, threads: int):
+    def __init__(self, raw: dict, seed: int):
         self.raw = dict(raw)
         self.seed = seed
-        self.threads = threads
 
     def number(self, key: str, default=None) -> float:
         if key not in self.raw:
@@ -155,7 +154,6 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs: list) -
         "command": command,
         "config": dict(sorted(cfg.raw.items())),
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "outputs": sorted(str(Path(p).name) for p in outputs),
         "versions": {
             "ricemele": __version__,
@@ -334,7 +332,7 @@ def cmd_fit(cfg: RunConfig, outdir: Path, peaks_path, gaps_path) -> list:
     n = cfg.integer("n_bootstrap", 1000)
     result = bootstrap_fit(
         FitObservations(peaks=peaks, gaps=gaps), initial,
-        n=n, fixed=fixed, seed=cfg.seed, threads=cfg.threads,
+        n=n, fixed=fixed, seed=cfg.seed,
     )
     fit_path = outdir / "fit.json"
     _write_json(fit_path, {
@@ -396,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named parameter bundle")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--peaks", type=Path, help="fit: peak observations CSV")
     parser.add_argument("--gaps", type=Path, help="fit: anti-crossing gap CSV")
     parser.add_argument("--traces", type=Path, nargs="*", help="chi: four trace CSVs (lL lR rL rR)")
@@ -416,7 +413,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 3
-    cfg = RunConfig(raw, seed=args.seed, threads=max(args.threads, 1))
+    cfg = RunConfig(raw, seed=args.seed)
 
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)

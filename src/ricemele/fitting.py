@@ -4,12 +4,22 @@ The fit runs in two stages, mirroring how the spectra constrain the model:
 far-detuned transmission peaks pin the waveguide parameters (t1, t2, V, VM)
 plus a global frequency offset f0, and the anti-crossing gap sizes then pin
 the qubit coupling tQ.
+
+Both stages are damped Gauss-Newton solves with exact Jacobians: the
+Hamiltonian is linear in its parameters, so by the Hellmann-Feynman theorem
+the derivative of an eigenvalue is the expectation value of a constant
+matrix in an eigenvector that the eigensolve already returns. The solver
+works on a stack of rows at once, the restarts of the point fit or a block
+of bootstrap resamples. A row it cannot converge is refit on its own by
+Nelder-Mead and a bounded scalar search (_fit_once), which the tests also
+use as the oracle. Such rows exist: H(V) and H(-V) are mirror images, so
+every eigenvalue is even in V, V = 0 is stationary for every residual, and
+a resample that wanders there stalls.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +32,24 @@ from .model import ModelParams, _waveguide_tridiagonal, site_roles
 from .scattering import SpectrumMap
 from .spectral import locate_gap, participation
 
-STAGE1_NAMES = ("t1", "t2", "V", "VM", "f0")
+STAGE1_FREE = ("t1", "t2", "V", "VM")
+STAGE1_NAMES = STAGE1_FREE + ("f0",)
 FIT_NAMES = STAGE1_NAMES + ("tQ",)
+
+# bootstrap resamples per batched solve; bounds the eigenvector stacks in memory
+BLOCK_ROWS = 32
+# Gauss-Newton steps before a row is handed to the per-sample solver
+MAX_ITER = 50
+# a row has converged once its next step would move no parameter by more
+# (MHz), or would lower its sum of squares by no more than this fraction
+STEP_TOL, FTOL = 1e-6, 1e-12
+# Levenberg-Marquardt damping: start, floor, and the ceiling at which a row gives up
+MU_START, MU_MIN, MU_MAX = 1e-3, 1e-12, 1e10
+# a row gives up once cond(J^T J) passes this: rows that stall near V = 0
+# pass 1e8, while rows that converge stay below about 3e6
+COND_MAX = 1e8
+# objective value outside the model's domain in the per-sample solver
+_SENTINEL = 1e12
 
 
 @dataclass(frozen=True)
@@ -111,7 +137,10 @@ def extract_peaks(
     """Local maxima with the requested prominence, parabolically refined.
 
     The three samples around each maximum fix a parabola whose vertex gives
-    the sub-sample peak position and height.
+    the sub-sample peak position and height. The vertex can lie above the
+    largest sample, so the reported amplitude can exceed every measured
+    value: on resonances sharper than a parabola over the grid spacing,
+    |S_RL| peaks come out above 1 (up to 1.0116 on the fig4 preset).
     """
     x = np.asarray(energies, dtype=float)
     y = np.asarray(amplitudes, dtype=float)
@@ -178,23 +207,14 @@ class _GapModel:
             _, localized = participation(prob)
             gap = locate_gap(evals, prob[m], localized, params)
             self.lower, self.upper = gap.lower, gap.upper
-        self.n = len(evals) + 1
 
     def gaps_at(self, tq: float, vqs: np.ndarray) -> np.ndarray:
         """In-gap level splittings at each qubit energy; nan where < 2 levels."""
-        k = len(vqs)
-        h = np.zeros((k, self.n, self.n))
-        h[:, np.arange(self.n - 1), np.arange(self.n - 1)] = self.evals
-        h[:, -1, -1] = vqs
-        h[:, :-1, -1] = -tq * self.psi_m
-        h[:, -1, :-1] = -tq * self.psi_m
-        lam = np.linalg.eigvalsh(h)
-        out = np.full(k, math.nan)
-        for i in range(k):
-            inside = lam[i][(lam[i] > self.lower) & (lam[i] < self.upper)]
-            if inside.size >= 2:
-                out[i] = np.min(np.diff(inside))
-        return out
+        gaps, _ = _arrow_gaps(
+            self.evals[None], self.psi_m[None], np.array([self.lower]), np.array([self.upper]),
+            np.array([float(tq)]), np.asarray(vqs, dtype=float)[None],
+        )
+        return gaps[0]
 
     def gap_at(self, tq: float, vq: float) -> float:
         return float(self.gaps_at(tq, np.array([float(vq)]))[0])
@@ -206,6 +226,229 @@ def model_anticrossing_gap(params: ModelParams, vq: float, bounds=None) -> float
     if math.isnan(value):
         raise ParameterError(f"fewer than 2 in-gap levels at VQ = {vq} MHz")
     return value
+
+
+def _waveguide_patterns(p: int):
+    """The constant matrices A_j of H = t1 A_1 + t2 A_2 + V A_3 + VM A_4 for
+    the waveguide block, as diagonals (4, n) and first off-diagonals (4, n-1)."""
+    parts = [_waveguide_tridiagonal(p, v, t1, t2, vm) for t1, t2, v, vm in np.eye(4)]
+    return np.array([d for d, _ in parts]), np.array([e for _, e in parts])
+
+
+def _waveguide_spectra(patterns, theta: np.ndarray):
+    """Sorted waveguide eigenvalues (rows, n) for each row of theta =
+    (t1, t2, V, VM), and their exact Jacobians (rows, n, 4).
+
+    H is linear in theta, so by Hellmann-Feynman d(lambda_k)/d(theta_j) =
+    z_k^T A_j z_k, with z_k the eigenvector the solve already returns.
+    """
+    diag, off = patterns
+    n = diag.shape[1]
+    i = np.arange(n)
+    h = np.zeros((len(theta), n, n))
+    h[:, i, i] = theta @ diag
+    h[:, i[:-1], i[1:]] = h[:, i[1:], i[:-1]] = theta @ off
+    lam, z = np.linalg.eigh(h)
+    jac = diag @ z**2 + 2.0 * off @ (z[:, :-1] * z[:, 1:])
+    return lam, jac.transpose(0, 2, 1)
+
+
+def _stage1_rows(patterns, free, starts, pair_idx, pair_freq, fixed_f0):
+    """Levenberg-Marquardt on every row of a stack at once.
+
+    Row r starts from starts[r] = (t1, t2, V, VM), fits the columns listed
+    in free and matches pair_freq[r] to the eigenvalues of rank pair_idx[r].
+    f0 is profiled out by centring the residuals and the Jacobian, unless
+    fixed_f0 gives it. A step that would make t1 or t2 negative, or that
+    raises the sum of squares, is rejected and multiplies the damping mu by
+    10; an accepted step scales mu by max(1/3, 1 - (2 rho - 1)^3), with rho
+    the achieved over the predicted reduction (Nielsen's rule). A start with
+    t1 or t2 negative is not iterated.
+
+    Returns theta (rows, 4), f0, sse and converged (rows,). A row has
+    converged when, with mu <= 1, its next step moves no parameter by more
+    than STEP_TOL or promises to lower the sum of squares by no more than
+    the fraction FTOL; only the other rows are iterated again. Rows left
+    after MAX_ITER steps, whose mu passes MU_MAX or whose J^T J has a
+    condition number above COND_MAX are reported unconverged.
+    """
+    theta = np.array(starts, dtype=float)
+    rows = len(theta)
+    f0, sse = np.full(rows, math.nan), np.full(rows, math.nan)
+    converged = np.zeros(rows, dtype=bool)
+
+    def evaluate(th, idx, freq):
+        lam, jac = _waveguide_spectra(patterns, th)
+        res = freq - np.take_along_axis(lam, idx, axis=1)
+        jac = np.take_along_axis(jac, idx[:, :, None], axis=1)[:, :, free]
+        if fixed_f0 is None:
+            off = res.mean(axis=1)
+            jac = jac - jac.mean(axis=1, keepdims=True)
+        else:
+            off = np.full(len(th), float(fixed_f0))
+        res = res - off[:, None]
+        return res, jac, off, np.einsum("ri,ri->r", res, res)
+
+    act = np.flatnonzero((theta[:, 0] >= 0) & (theta[:, 1] >= 0))
+    res, jac, off, cost = evaluate(theta[act], pair_idx[act], pair_freq[act])
+    if not free:
+        f0[act], sse[act], converged[act] = off, cost, True
+        return theta, f0, sse, converged
+    mu = np.full(act.size, MU_START)
+    eye = np.eye(len(free))
+    for _ in range(MAX_ITER):
+        jt = jac.transpose(0, 2, 1)
+        jtj = jt @ jac
+        grad = (jt @ res[:, :, None])[:, :, 0]
+        scale = np.maximum(np.diagonal(jtj, axis1=1, axis2=2), 1e-12)
+        step = np.linalg.solve(jtj + mu[:, None, None] * scale[:, :, None] * eye,
+                               grad[:, :, None])[:, :, 0]
+        gain = 2.0 * np.einsum("ri,ri->r", step, grad) - np.einsum(
+            "ri,rij,rj->r", step, jtj, step)
+        done = (mu <= 1.0) & ((np.abs(step).max(axis=1) <= STEP_TOL) | (gain <= FTOL * cost))
+        f0[act[done]], sse[act[done]], converged[act[done]] = off[done], cost[done], True
+
+        curvatures = np.linalg.eigvalsh(jtj)
+        keep = ~done & (curvatures[:, -1] < COND_MAX * curvatures[:, 0])
+        act, res, jac, off, cost, mu, step = (
+            act[keep], res[keep], jac[keep], off[keep], cost[keep], mu[keep], step[keep])
+        if act.size == 0:
+            break
+        finite = np.isfinite(step).all(axis=1)
+        trial = theta[act]
+        trial[:, free] += np.where(finite[:, None], step, 0.0)
+        t_res, t_jac, t_off, t_cost = evaluate(trial, pair_idx[act], pair_freq[act])
+        accept = finite & (trial[:, 0] >= 0) & (trial[:, 1] >= 0) & (t_cost <= cost)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = (cost - t_cost) / gain[keep]
+        theta[act[accept]] = trial[accept]
+        res[accept], jac[accept], off[accept], cost[accept] = (
+            t_res[accept], t_jac[accept], t_off[accept], t_cost[accept])
+        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.clip(rho, 0.0, 1.0) - 1.0) ** 3)
+        mu = np.where(accept, np.maximum(mu * shrink, MU_MIN), mu * 10.0)
+
+        keep = mu <= MU_MAX
+        act, res, jac, off, cost, mu = act[keep], res[keep], jac[keep], off[keep], cost[keep], mu[keep]
+    return theta, f0, sse, converged
+
+
+def _arrow_gaps(evals, psi_m, lower, upper, tq, vqs):
+    """In-gap level splittings (rows, k) of the arrow matrices with tQ = tq[r]
+    and VQ = vqs[r, i], and their tQ derivatives; nan where < 2 levels.
+
+    Row r holds one waveguide block: its eigenvalues evals[r], the mode
+    amplitudes psi_m[r] at M, and its gap (lower[r], upper[r]). The
+    splitting is the smallest spacing of consecutive eigenvalues strictly
+    inside the gap. dH/dtQ couples Q to every mode with -psi_m, so by
+    Hellmann-Feynman d(lambda)/d(tQ) = -2 z_Q (psi_m . z_wg). The arrow
+    eigenvector has z_wg,k = tQ psi_k z_Q / (e_k - lambda), which turns this
+    into -2 tQ S1 / (1 + tQ^2 S2) with Sn = sum_k psi_k^2 / (e_k - lambda)^n,
+    so only the eigenvalues are computed.
+    """
+    rows, k = vqs.shape
+    n = evals.shape[1] + 1
+    i = np.arange(n - 1)
+    h = np.zeros((rows, k, n, n))
+    h[:, :, i, i] = evals[:, None, :]
+    h[:, :, -1, -1] = vqs
+    h[:, :, i, -1] = h[:, :, -1, i] = -tq[:, None, None] * psi_m[:, None, :]
+    lam = np.linalg.eigvalsh(h)
+    inside = (lam > lower[:, None, None]) & (lam < upper[:, None, None])
+    spacing = np.where(inside[..., 1:] & inside[..., :-1], np.diff(lam, axis=-1), np.inf)
+    j = np.argmin(spacing, axis=-1)[..., None]
+    gap = np.take_along_axis(spacing, j, axis=-1)[..., 0]
+
+    pair = np.take_along_axis(lam, np.concatenate([j, j + 1], axis=-1), axis=-1)
+    weight = psi_m[:, None, None, :] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / (evals[:, None, None, :] - pair[..., None])
+        s1 = np.sum(weight * inv, axis=-1)
+        s2 = np.sum(weight * inv**2, axis=-1)
+        t = tq[:, None, None]
+        slope = -2.0 * t * s1 / (1.0 + t**2 * s2)
+    return np.where(np.isinf(gap), math.nan, gap), slope[..., 1] - slope[..., 0]
+
+
+def _stage2_rows(models, tq0, vqs, sizes, hi):
+    """Gauss-Newton on tQ in [0, hi[r]] for every row at once.
+
+    Row r fits the gap sizes sizes[r] at the qubit energies vqs[r] with the
+    waveguide block of models[r] (a _GapModel), starting from tq0[r]. A
+    step that leaves any drawn VQ without two in-gap levels, or raises the
+    sum of squares, is halved. Returns tq, sse and converged (rows,): a row
+    converges once its next step would move tQ by no more than STEP_TOL;
+    only the other rows are iterated again. A row whose start has fewer
+    than two in-gap levels at some VQ, whose splittings do not depend on
+    tQ, or that is left after MAX_ITER steps is reported unconverged.
+    """
+    evals = np.array([m.evals for m in models])
+    psi_m = np.array([m.psi_m for m in models])
+    lower = np.array([m.lower for m in models])
+    upper = np.array([m.upper for m in models])
+    rows = len(models)
+    tq = np.clip(np.asarray(tq0, dtype=float), 0.0, hi)
+    sse = np.full(rows, math.nan)
+    converged = np.zeros(rows, dtype=bool)
+
+    def evaluate(a, t):
+        gap, slope = _arrow_gaps(evals[a], psi_m[a], lower[a], upper[a], t, vqs[a])
+        res = sizes[a] - gap
+        return res, slope, np.einsum("ri,ri->r", res, res)
+
+    def gauss_newton(res, slope):
+        curvature = np.einsum("ri,ri->r", slope, slope)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.einsum("ri,ri->r", slope, res) / curvature
+
+    act = np.arange(rows)
+    res, slope, cost = evaluate(act, tq)
+    step = gauss_newton(res, slope)
+    for _ in range(MAX_ITER):
+        usable = np.isfinite(cost) & np.isfinite(step)
+        act, res, slope, cost, step = act[usable], res[usable], slope[usable], cost[usable], step[usable]
+        trial = np.clip(tq[act] + step, 0.0, hi[act])
+        done = np.abs(trial - tq[act]) <= STEP_TOL
+        sse[act[done]], converged[act[done]] = cost[done], True
+        act, res, slope, cost, step, trial = (
+            act[~done], res[~done], slope[~done], cost[~done], step[~done], trial[~done])
+        if act.size == 0:
+            break
+        t_res, t_slope, t_cost = evaluate(act, trial)
+        accept = t_cost <= cost
+        tq[act[accept]] = trial[accept]
+        res[accept], slope[accept], cost[accept] = t_res[accept], t_slope[accept], t_cost[accept]
+        step = np.where(accept, gauss_newton(res, slope), 0.5 * step)
+    return tq, sse, converged
+
+
+def _tq_bound(initial: ModelParams, model: _GapModel) -> float:
+    """Upper end of the tQ search range."""
+    return max(4.0 * abs(initial.tQ), 100.0, 0.5 * (model.upper - model.lower))
+
+
+def _stage2_scalar(model: _GapModel, vqs, sizes, hi: float):
+    """Bounded scalar search for tQ on [0, hi]; returns (tQ, sse).
+
+    The fallback for rows the batched solver cannot converge, and the test
+    oracle. Raises NumericalError when no tQ in range gives two in-gap
+    levels at every gap VQ.
+    """
+    def gap_objective(tq):
+        if tq < 0:
+            return _SENTINEL
+        model_sizes = model.gaps_at(tq, vqs)
+        if np.any(np.isnan(model_sizes)):
+            return _SENTINEL
+        diff = sizes - model_sizes
+        return float(diff @ diff)
+
+    sol = minimize_scalar(gap_objective, bounds=(0.0, hi), method="bounded",
+                          options={"xatol": 1e-3})
+    if sol.fun >= _SENTINEL:
+        raise NumericalError(
+            f"no tQ in [0, {hi:.4g}] MHz gives two in-gap levels at every gap VQ"
+        )
+    return float(sol.x), float(sol.fun)
 
 
 def _stage1_residuals(theta, free, base, pair_idx, pair_freq, fixed_f0):
@@ -226,6 +469,37 @@ def _stage1_residuals(theta, free, base, pair_idx, pair_freq, fixed_f0):
     return pair_freq - model - f0, f0
 
 
+def _stage1_nelder_mead(x0, free, base, pair_idx, pair_freq, fixed_f0):
+    """Derivative-free stage-1 refit from x0 (scipy OptimizeResult)."""
+    def objective(theta):
+        out = _stage1_residuals(theta, free, base, pair_idx, pair_freq, fixed_f0)
+        if out is None:
+            return _SENTINEL
+        res, _ = out
+        return float(res @ res)
+
+    fatol = max(1e-10, 1e-7 * (objective(x0) + 1.0))
+    return minimize(objective, x0, method="Nelder-Mead",
+                    options={"xatol": 1e-4, "fatol": fatol, "maxiter": 2000})
+
+
+def _stage1_params(theta, free, base, pair_idx, pair_freq, fixed_f0):
+    """(params, sse) at the stage-1 parameters theta of the free names."""
+    out = _stage1_residuals(theta, free, base, pair_idx, pair_freq, fixed_f0)
+    if out is None:
+        raise NumericalError("stage-1 optimum landed on invalid parameters")
+    residuals, f0 = out
+    values = dict(zip(free, theta))
+    params = base.with_(
+        t1=float(values.get("t1", base.t1)),
+        t2=float(values.get("t2", base.t2)),
+        V=float(values.get("V", base.V)),
+        VM=float(values.get("VM", base.VM)),
+        f0=float(f0),
+    )
+    return params, float(residuals @ residuals)
+
+
 def _fit_once(
     initial: ModelParams,
     fixed: frozenset,
@@ -235,17 +509,14 @@ def _fit_once(
     pair_freq: np.ndarray,
     gap_obs: list,
 ):
-    """One full two-stage fit; returns (params, sse, converged)."""
-    free1 = [n for n in ("t1", "t2", "V", "VM") if n not in fixed]
-    fit_f0 = "f0" not in fixed
-    fixed_f0 = None if fit_f0 else initial.f0
+    """One full two-stage fit of a single sample by Nelder-Mead and a bounded
+    scalar search; returns (params, sse, converged).
 
-    def objective(theta):
-        out = _stage1_residuals(theta, free1, initial, pair_idx, pair_freq, fixed_f0)
-        if out is None:
-            return 1e12
-        res, _ = out
-        return float(res @ res)
+    The bootstrap hands it the resamples the batched solver cannot converge,
+    and the tests use it as the oracle for the batched solver.
+    """
+    free1 = [n for n in STAGE1_FREE if n not in fixed]
+    fixed_f0 = initial.f0 if "f0" in fixed else None
 
     best = None
     converged = False
@@ -254,11 +525,7 @@ def _fit_once(
     if free1:
         for trial in range(max(n_restarts, 1)):
             x0 = x0_base if trial == 0 else x0_base + 0.1 * scale * rng.standard_normal(len(free1))
-            fatol = max(1e-10, 1e-7 * (objective(x0) + 1.0))
-            sol = minimize(
-                objective, x0, method="Nelder-Mead",
-                options={"xatol": 1e-4, "fatol": fatol, "maxiter": 2000},
-            )
+            sol = _stage1_nelder_mead(x0, free1, initial, pair_idx, pair_freq, fixed_f0)
             if best is None or sol.fun < best.fun:
                 best = sol
             converged = converged or bool(sol.success)
@@ -267,39 +534,14 @@ def _fit_once(
         theta_best = x0_base
         converged = True
 
-    res_out = _stage1_residuals(theta_best, free1, initial, pair_idx, pair_freq, fixed_f0)
-    if res_out is None:
-        raise NumericalError("stage-1 optimum landed on invalid parameters")
-    residuals, f0 = res_out
-    values = dict(zip(free1, theta_best))
-    params = initial.with_(
-        t1=float(values.get("t1", initial.t1)),
-        t2=float(values.get("t2", initial.t2)),
-        V=float(values.get("V", initial.V)),
-        VM=float(values.get("VM", initial.VM)),
-        f0=float(f0),
-    )
-
-    sse = float(residuals @ residuals)
+    params, sse = _stage1_params(theta_best, free1, initial, pair_idx, pair_freq, fixed_f0)
     if "tQ" not in fixed and gap_obs:
         model = _GapModel(params)
         vqs = np.array([g[0] for g in gap_obs], dtype=float)
         sizes = np.array([g[1] for g in gap_obs], dtype=float)
-
-        def gap_objective(tq):
-            if tq < 0:
-                return 1e12
-            model_sizes = model.gaps_at(tq, vqs)
-            if np.any(np.isnan(model_sizes)):
-                return 1e12
-            diff = sizes - model_sizes
-            return float(diff @ diff)
-
-        hi = max(4.0 * abs(initial.tQ), 100.0, 0.5 * (model.upper - model.lower))
-        sol2 = minimize_scalar(gap_objective, bounds=(0.0, hi), method="bounded",
-                               options={"xatol": 1e-3})
-        params = params.with_(tQ=float(sol2.x))
-        sse += float(sol2.fun)
+        tq, sse2 = _stage2_scalar(model, vqs, sizes, _tq_bound(initial, model))
+        params = params.with_(tQ=tq)
+        sse += sse2
     return params, sse, converged
 
 
@@ -315,8 +557,12 @@ def fit_hamiltonian(
 
     Peaks are matched to waveguide eigenvalues in sorted order, so the peak
     list order is irrelevant. f0 is profiled out analytically (the optimal
-    offset for fixed shape parameters is the mean residual). Derivative-free
-    simplex minimization with random restarts around the initial guess.
+    offset for fixed shape parameters is the mean residual). Stage 1 runs
+    Levenberg-Marquardt with exact Hellmann-Feynman Jacobians from the
+    initial guess and from n_restarts - 1 random starts around it, all as
+    one batch, and keeps the best; a start that does not converge is refit
+    by Nelder-Mead. Stage 2 runs Gauss-Newton on tQ from the initial tQ,
+    with a bounded scalar search as the fallback.
     """
     fixed = frozenset(fixed)
     unknown = fixed - set(FIT_NAMES)
@@ -340,16 +586,97 @@ def fit_hamiltonian(
 
     freq = np.sort(far_detuned_peaks.frequencies())
     pair_idx = np.arange(n_modes)
+    free1 = [n for n in STAGE1_FREE if n not in fixed]
+    free_idx = [STAGE1_FREE.index(n) for n in free1]
+    fixed_f0 = initial.f0 if "f0" in fixed else None
+
+    rows = max(n_restarts, 1)
+    starts = np.tile([getattr(initial, n) for n in STAGE1_FREE], (rows, 1))
+    scale = np.maximum(np.abs(starts[0, free_idx]), 10.0)
     rng = np.random.default_rng(seed)
-    params, sse, converged = _fit_once(
-        initial, fixed, rng, n_restarts, pair_idx, freq, gaps,
+    for trial in range(1, rows):
+        starts[trial, free_idx] += 0.1 * scale * rng.standard_normal(len(free1))
+    theta, _, sse, converged = _stage1_rows(
+        _waveguide_patterns(initial.p), free_idx, starts,
+        np.tile(pair_idx, (rows, 1)), np.tile(freq, (rows, 1)), fixed_f0,
     )
+    for r in np.flatnonzero(~converged):
+        sol = _stage1_nelder_mead(starts[r, free_idx], free1, initial, pair_idx, freq, fixed_f0)
+        theta[r, free_idx], sse[r], converged[r] = sol.x, sol.fun, sol.success
+    best = theta[int(np.argmin(sse)), free_idx]
+    params, sse = _stage1_params(best, free1, initial, pair_idx, freq, fixed_f0)
+
+    if "tQ" not in fixed:
+        model = _GapModel(params)
+        vqs = np.array([[g[0] for g in gaps]], dtype=float)
+        sizes = np.array([[g[1] for g in gaps]], dtype=float)
+        hi = _tq_bound(initial, model)
+        tq, sse2, ok = _stage2_rows([model], [initial.tQ], vqs, sizes, np.array([hi]))
+        if ok[0]:
+            tq, sse2 = float(tq[0]), float(sse2[0])
+        else:
+            tq, sse2 = _stage2_scalar(model, vqs[0], sizes[0], hi)
+        params = params.with_(tQ=tq)
+        sse += sse2
     n_obs = n_modes + len(gaps)
     return FitResult(
         best=params,
         residual_rms=math.sqrt(sse / n_obs),
-        converged=converged,
+        converged=bool(converged.any()),
     )
+
+
+def _refit_block(point: ModelParams, fixed: frozenset, peak_picks, gap_picks, freq, gaps) -> list:
+    """Refit a block of bootstrap resamples from the point estimate.
+
+    Row r draws the peak ranks peak_picks[r] and the gaps gap_picks[r]. Both
+    stages run batched over the rows; a row either stage cannot converge is
+    refit on its own by _fit_once or _stage2_scalar. Returns one list of the
+    fitted values per row, in FIT_NAMES order, or None where the refit failed.
+    """
+    fitted = [n for n in FIT_NAMES if n not in fixed]
+    free1 = [n for n in STAGE1_FREE if n not in fixed]
+    free_idx = [STAGE1_FREE.index(n) for n in free1]
+    fixed_f0 = point.f0 if "f0" in fixed else None
+    rows = len(peak_picks)
+    starts = np.tile([getattr(point, n) for n in STAGE1_FREE], (rows, 1))
+    theta, f0, _, ok = _stage1_rows(
+        _waveguide_patterns(point.p), free_idx, starts, peak_picks, freq[peak_picks], fixed_f0,
+    )
+    fit_tq = "tQ" not in fixed and len(gaps) > 0
+    out = [None] * rows
+    stage2 = {}
+    for r in range(rows):
+        try:
+            if not ok[r]:
+                params, _, _ = _fit_once(
+                    point, fixed, np.random.default_rng(0), 1,
+                    peak_picks[r], freq[peak_picks[r]], [gaps[i] for i in gap_picks[r]],
+                )
+                out[r] = [getattr(params, n) for n in fitted]
+                continue
+            t1, t2, v, vm = theta[r]
+            params = point.with_(t1=float(t1), t2=float(t2), V=float(v), VM=float(vm),
+                                 f0=float(f0[r]))
+            if fit_tq:
+                stage2[r] = (params, _GapModel(params))
+            else:
+                out[r] = [getattr(params, n) for n in fitted]
+        except (NumericalError, ParameterError, InsufficientModesError, np.linalg.LinAlgError):
+            pass
+    if stage2:
+        idx = list(stage2)
+        models = [stage2[r][1] for r in idx]
+        obs = np.asarray(gaps, dtype=float)[gap_picks[idx]]
+        hi = np.array([_tq_bound(point, m) for m in models])
+        tq, _, conv = _stage2_rows(models, np.full(len(idx), point.tQ), obs[..., 0], obs[..., 1], hi)
+        for j, r in enumerate(idx):
+            try:
+                t = tq[j] if conv[j] else _stage2_scalar(models[j], obs[j, :, 0], obs[j, :, 1], hi[j])[0]
+            except NumericalError:
+                continue
+            out[r] = [getattr(stage2[r][0].with_(tQ=float(t)), n) for n in fitted]
+    return out
 
 
 def bootstrap_fit(
@@ -358,15 +685,15 @@ def bootstrap_fit(
     n: int = 10000,
     fixed=(),
     seed: int = 0,
-    threads: int = 1,
 ) -> FitResult:
     """Pair bootstrap around the two-stage fit.
 
     The point fit assigns each sorted peak to its eigenvalue rank; resamples
     then draw (rank, frequency) pairs and (VQ, gap) pairs with replacement
-    and refit from the point estimate. Reports per-parameter 2.5/97.5
-    percentiles, standard deviations and medians of the bootstrap
-    distribution.
+    and refit from the point estimate, BLOCK_ROWS resamples per batched
+    solve. A resample whose refit fails is dropped; more than 10 % failures
+    abort. Reports per-parameter 2.5/97.5 percentiles, standard deviations
+    and medians of the bootstrap distribution.
     """
     if n < 100:
         raise ParameterError(f"need at least 100 bootstrap samples, got {n}")
@@ -379,32 +706,18 @@ def bootstrap_fit(
     gaps = list(observations.gaps)
     rng = np.random.default_rng(seed)
 
-    draws = []
+    peak_picks, gap_picks = [], []
     for _ in range(n):
-        peak_pick = rng.integers(0, n_modes, n_modes)
-        gap_pick = rng.integers(0, len(gaps), len(gaps)) if gaps else np.array([], dtype=int)
-        draws.append((peak_pick, gap_pick))
+        peak_picks.append(rng.integers(0, n_modes, n_modes))
+        gap_picks.append(rng.integers(0, len(gaps), len(gaps)) if gaps else np.array([], dtype=int))
+    peak_picks, gap_picks = np.array(peak_picks), np.array(gap_picks)
+
+    rows = []
+    for lo in range(0, n, BLOCK_ROWS):
+        block = slice(lo, lo + BLOCK_ROWS)
+        rows += _refit_block(point.best, fixed, peak_picks[block], gap_picks[block], freq, gaps)
 
     fitted = [n_ for n_ in FIT_NAMES if n_ not in fixed]
-
-    def refit(draw):
-        peak_pick, gap_pick = draw
-        sub_gaps = [gaps[i] for i in gap_pick]
-        try:
-            params, _, _ = _fit_once(
-                point.best, fixed, np.random.default_rng(0),
-                1, peak_pick, freq[peak_pick], sub_gaps,
-            )
-        except (NumericalError, ParameterError, InsufficientModesError, np.linalg.LinAlgError):
-            return None
-        return [getattr(params, name) for name in fitted]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(refit, draws))
-    else:
-        rows = [refit(d) for d in draws]
-
     failures = sum(r is None for r in rows)
     if failures > 0.1 * n:
         raise NumericalError(

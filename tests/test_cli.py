@@ -187,6 +187,25 @@ def test_fit_command_round_trip(tmp_path):
         assert result["parameters"][name]["best"] == pytest.approx(target, abs=0.5)
 
 
+def test_fit_without_a_valid_tq_exits_numerical(tmp_path, capsys):
+    # V = 0 makes the lower gap edge a zero mode that is dark at M; a qubit
+    # below it never gives two in-gap levels, so no tQ fits these gaps
+    _, peaks, gaps, cfg = _write_fit_inputs(tmp_path)
+    truth = ModelParams(p=4, V=0.0, t1=230.0, t2=280.0, tQ=130.0, VQ=0.0, VM=590.0, f0=4600.0)
+    with open(peaks, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["flux_or_VQ", "frequency_MHz", "amplitude"])
+        for f in model_peak_frequencies(truth):
+            writer.writerow(["0.0", f"{f:.6f}", "1.0"])
+    gaps.write_text("VQ_MHz,gap_MHz\n-40,50\n-20,40\n")
+    cfg.write_text("p = 4\nV = 0\nt1 = 200\nt2 = 300\ntQ = 100\nVQ = 0\nVM = 550\nf0 = 4550\n"
+                   "fixed = V\nn_bootstrap = 100\n")
+    rc = _run(["fit", "--config", cfg, "--peaks", peaks, "--gaps", gaps, "--out", tmp_path])
+    assert rc == 4
+    assert "two in-gap levels" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_fit_malformed_csv_names_line(tmp_path, capsys):
     _, peaks, gaps, cfg = _write_fit_inputs(tmp_path)
     bad = tmp_path / "bad_peaks.csv"
@@ -216,6 +235,7 @@ def test_manifest_contents(tmp_path):
     assert manifest["config"]["s_lL"] == "108.2"
     assert "chi.json" in manifest["outputs"]
     assert "ricemele" in manifest["versions"]
+    assert "threads" not in manifest
 
 
 def test_chi_command_from_port_traces(tmp_path):
