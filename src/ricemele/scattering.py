@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -106,11 +105,23 @@ def ldos(params: ModelParams, E: float, site: int, H: LabeledHamiltonian = None)
     return float(-g_col[site - 1].imag / np.pi)
 
 
+# probe energies per stacked solve of the qubit-free chain in transmission_map
+E_BLOCK = 128
+
+
 def transmission_map(params: ModelParams, E_grid, VQ_grid, kind: str = "S_RL") -> SpectrumMap:
-    """|S| or LDOS (at the left port) over the grid, one eigenproblem per VQ.
+    """|S| or LDOS (at the left port) over the grid, through the qubit self-energy.
+
+    The qubit couples only to the central site M, so it folds exactly into
+    the Green's function G0 of the port-dressed chain without it:
+    G_ab = G0_ab + f G0_aM G0_Mb with f = tQ^2 / (E - VQ - tQ^2 G0_MM).
+    G0's (portL, portR, M) columns come from one stacked solve per block of
+    E_BLOCK energies; the VQ axis is a broadcast. The amplitudes then follow
+    from the Fisher-Lee relation of s_matrix, and LDOS is -Im G_LL / pi.
 
     The stored E axis carries the global offset f0 so maps line up with lab
     spectra; the model itself is evaluated at the offset-free energies.
+    Raises NumericalError where G0 or the folded G is singular on the grid.
     """
     if kind not in MAP_KINDS:
         raise ParameterError(f"kind must be one of {MAP_KINDS}, got {kind!r}")
@@ -118,16 +129,44 @@ def transmission_map(params: ModelParams, E_grid, VQ_grid, kind: str = "S_RL") -
     vq_grid = np.asarray(VQ_grid, dtype=float)
     if e_grid.size == 0 or vq_grid.size == 0:
         raise ParameterError("E and VQ grids must be non-empty")
+    gamma_l, gamma_r = params.port_rates()
+    if kind != "LDOS" and (gamma_l <= 0 or gamma_r <= 0):
+        raise ParameterError("both ports must be lossy: Im(sigma) < 0")
+
+    H = build_hamiltonian(params, include_ports=True)
+    r = H.roles
+    n = r.portR
+    h0 = H.matrix[:n, :n]
+    picks = [r.portL - 1, r.portR - 1, r.M - 1]
+    rhs = np.zeros((n, 3), dtype=complex)
+    rhs[picks, [0, 1, 2]] = 1.0
+    # (row, column) of G in the (L, R, M) columns; S_LR uses G_RL, G is symmetric
+    a, b = {"S_LL": (0, 0), "S_LR": (1, 0), "S_RL": (1, 0), "S_RR": (1, 1), "LDOS": (0, 0)}[kind]
+    tq2 = params.tQ ** 2
 
     values = np.empty((e_grid.size, vq_grid.size))
-    for j, vq in enumerate(vq_grid):
-        pj = params.with_(VQ=float(vq))
-        H = build_hamiltonian(pj, include_ports=True)
+    for start in range(0, e_grid.size, E_BLOCK):
+        block = slice(start, start + E_BLOCK)
+        e = e_grid[block]
+        try:
+            g0 = np.linalg.solve(e[:, None, None] * np.eye(n) - h0, rhs)[:, picks, :]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"(E*I - H0) singular for E in [{e[0]}, {e[-1]}] MHz") from exc
+        den = e[:, None] - vq_grid[None, :] - tq2 * g0[:, 2, 2, None]
+        if np.any(den == 0):
+            i, j = np.argwhere(den == 0)[0]
+            raise NumericalError(
+                f"qubit self-energy singular at E = {e[i]} MHz, VQ = {vq_grid[j]} MHz")
+        g = g0[:, a, b, None] + tq2 / den * (g0[:, a, 2] * g0[:, b, 2])[:, None]
         if kind == "LDOS":
-            values[:, j] = [ldos(pj, e, H.roles.portL, H=H) for e in e_grid]
+            values[block] = -g.imag / np.pi
+        elif a != b:
+            values[block] = np.sqrt(gamma_l * gamma_r) * np.abs(g)
         else:
-            attr = kind
-            values[:, j] = [abs(getattr(s_matrix(pj, e, H=H), attr)) for e in e_grid]
+            values[block] = np.abs(-1.0 + 1j * (gamma_l, gamma_r)[a] * g)
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("non-finite Green's function on the map grid")
     return SpectrumMap(E_grid=e_grid + params.f0, VQ_grid=vq_grid, values=values, kind=kind)
 
 
@@ -158,14 +197,18 @@ def resonance_grid(params: ModelParams, n_points: int, pad: float = 50.0) -> np.
 
 def write_map_csv(path, smap: SpectrumMap) -> None:
     """Long-form CSV: E_MHz, VQ_MHz, value. E is written in its shortest
-    round-trip form so the dense resonance_grid windows read back exactly."""
+    round-trip form so the dense resonance_grid windows read back exactly.
+
+    The bytes are those of csv.writer (no field needs quoting, rows end in
+    \r\n). Each VQ and each E is formatted once, and each E's rows go out as
+    one string; the whole text is never held at once, to keep peak memory flat.
+    """
+    vq_txt = [f"{vq:.10g}" for vq in smap.VQ_grid]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["E_MHz", "VQ_MHz", "value"])
-        for i, e in enumerate(smap.E_grid):
-            e_txt = repr(float(e)).removesuffix(".0")
-            for j, vq in enumerate(smap.VQ_grid):
-                writer.writerow([e_txt, f"{vq:.10g}", f"{smap.values[i, j]:.10g}"])
+        fh.write("E_MHz,VQ_MHz,value\r\n")
+        for e, row in zip(smap.E_grid.tolist(), smap.values):
+            head = repr(e).removesuffix(".0") + ","
+            fh.write("".join([f"{head}{vq},{x:.10g}\r\n" for vq, x in zip(vq_txt, row.tolist())]))
 
 
 def write_map_header_json(path, smap: SpectrumMap, csv_name: str) -> None:

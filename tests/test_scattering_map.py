@@ -1,0 +1,173 @@
+"""transmission_map through the qubit self-energy against the dense point API.
+
+s_matrix and ldos solve the full port-dressed matrix at one (E, VQ) point;
+they are the oracle for the folded map, and csv.writer is the oracle for
+write_map_csv.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ricemele import (
+    ModelParams,
+    NumericalError,
+    ParameterError,
+    build_hamiltonian,
+    ldos,
+    resonance_grid,
+    s_matrix,
+    transmission_map,
+)
+from ricemele.cli import PRESETS, RunConfig, main
+from ricemele.scattering import MAP_KINDS, SpectrumMap, write_map_csv
+
+
+def _dense_maps(params, e_grid, vq_grid, kinds):
+    """Every requested map from one s_matrix / ldos solve per point."""
+    out = {k: np.empty((len(e_grid), len(vq_grid))) for k in kinds}
+    amplitudes = [k for k in kinds if k != "LDOS"]
+    for j, vq in enumerate(vq_grid):
+        pj = params.with_(VQ=float(vq))
+        H = build_hamiltonian(pj, include_ports=True)
+        for i, e in enumerate(e_grid):
+            if "LDOS" in out:
+                out["LDOS"][i, j] = ldos(pj, e, H.roles.portL, H=H)
+            if amplitudes:
+                s = s_matrix(pj, e, H=H)
+                for k in amplitudes:
+                    out[k][i, j] = abs(getattr(s, k))
+    return out
+
+
+def _preset_grids(name):
+    cfg = RunConfig(PRESETS[name], seed=0)
+    params = cfg.model()
+    if "E_start" in cfg.raw:
+        e_grid = cfg.grid("E")
+    else:
+        e_grid = resonance_grid(params.far_detuned(), cfg.integer("E_points", 2001))
+    return params, e_grid, cfg.grid("VQ")
+
+
+# Both paths carry the conditioning error of sharp resonances: on 150 random
+# sets each differed from a 40-digit mpmath solve by up to 1.3e-8. |S| <= 1
+# gives the absolute scale; LDOS is compared on the scale of its largest
+# value, since its per-point relative error grows where it is small (up to
+# 5e-8 on 1200 random sets, with the dense path the farther from mpmath).
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    t1=st.floats(20.0, 300.0),
+    t2=st.floats(20.0, 300.0),
+    v=st.floats(-100.0, 100.0),
+    vm=st.floats(-300.0, 300.0),
+    tq=st.floats(1.0, 200.0),
+    vq=st.floats(-500.0, 500.0),
+    dvq=st.floats(-50.0, 50.0),
+    sigma_l=st.tuples(st.floats(-20.0, 20.0), st.floats(0.5, 40.0)),
+    sigma_r=st.tuples(st.floats(-20.0, 20.0), st.floats(0.5, 40.0)),
+)
+def test_map_matches_dense_point_oracle(p, t1, t2, v, vm, tq, vq, dvq, sigma_l, sigma_r):
+    params = ModelParams(p=p, V=v, t1=t1, t2=t2, tQ=tq, VQ=vq, VM=vm,
+                         sigmaL=complex(sigma_l[0], -sigma_l[1]),
+                         sigmaR=complex(sigma_r[0], -sigma_r[1]))
+    e_grid = resonance_grid(params, 60)
+    vq_grid = np.array([vq, vq + dvq])
+    dense = _dense_maps(params, e_grid, vq_grid, MAP_KINDS)
+    for kind in MAP_KINDS:
+        fast = transmission_map(params, e_grid, vq_grid, kind=kind).values
+        scale = np.max(np.abs(dense[kind])) if kind == "LDOS" else 1.0
+        assert np.max(np.abs(fast - dense[kind])) <= 1e-7 * scale, kind
+
+
+def test_fig3_preset_map_matches_dense_oracle():
+    params, e_grid, vq_grid = _preset_grids("fig3")
+    dense = _dense_maps(params, e_grid, vq_grid, ["S_RL"])["S_RL"]
+    fast = transmission_map(params, e_grid, vq_grid, kind="S_RL").values
+    assert np.max(np.abs(fast - dense)) <= 1e-12
+
+
+def test_fig4_preset_maps_match_dense_oracle():
+    params, e_grid, vq_grid = _preset_grids("fig4")
+    kinds = MAP_KINDS[:4]
+    dense = _dense_maps(params, e_grid, vq_grid, kinds)
+    fast = {k: transmission_map(params, e_grid, vq_grid, kind=k).values for k in kinds}
+    for kind in kinds:
+        assert np.max(np.abs(fast[kind] - dense[kind])) <= 1e-12, kind
+    # both transmissions come from the one symmetric G_RL
+    assert np.array_equal(fast["S_LR"], fast["S_RL"])
+
+
+def test_lossless_port_rejected_for_amplitude_maps(fitted_params):
+    params = fitted_params.with_(sigmaL=0j)
+    for kind in MAP_KINDS[:4]:
+        with pytest.raises(ParameterError):
+            transmission_map(params, [0.0, 10.0], [-40.0], kind=kind)
+    assert transmission_map(params, [0.0, 10.0], [-40.0], kind="LDOS").values.shape == (2, 1)
+
+
+@pytest.mark.parametrize("kind", ["S_RL", "S_LL", "LDOS"])
+def test_decoupled_qubit_on_the_grid_is_numerical_error(fitted_params, kind):
+    # tQ = 0 and a grid point at E == VQ: the fold's f is 0/0 and the full
+    # matrix is singular there
+    params = fitted_params.with_(tQ=0.0)
+    with pytest.raises(NumericalError):
+        transmission_map(params, np.linspace(-50, 50, 11), [-30.0, 0.0], kind=kind)
+
+
+def test_singular_qubit_free_chain_is_numerical_error(fitted_params):
+    # t1 = 0 cuts M off the chain, so E - H0 is singular at E == VM
+    params = fitted_params.with_(t1=0.0)
+    e_grid = np.concatenate([np.linspace(0, 500, 200), [params.VM]])
+    with pytest.raises(NumericalError):
+        transmission_map(params, e_grid, [-40.0, 0.0])
+
+
+def _scatter_cfg(tmp_path, **changes):
+    keys = {"p": 2, "V": 30, "t1": 100, "t2": 140, "tQ": 50, "VQ": 0, "VM": 0,
+            "sigmaL_im": -10, "sigmaR_im": -10, "E_points": 41,
+            "E_start": -20, "E_stop": 20, "VQ_start": -10, "VQ_stop": 10, "VQ_points": 3}
+    keys.update(changes)
+    cfg = tmp_path / "scatter.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    return cfg
+
+
+@pytest.mark.parametrize("changes", [{"tQ": 0}, {"t1": 0}], ids=["tQ0_E_eq_VQ", "t1_0_E_eq_VM"])
+def test_cli_singular_map_exits_numerical(tmp_path, capsys, changes):
+    cfg = _scatter_cfg(tmp_path, **changes)
+    rc = main(["scatter", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "numerical error" in err and "Traceback" not in err
+    assert not list((tmp_path / "out").glob("map_*.csv"))
+
+
+def _csv_writer_oracle(path, smap):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["E_MHz", "VQ_MHz", "value"])
+        for i, e in enumerate(smap.E_grid):
+            e_txt = repr(float(e)).removesuffix(".0")
+            for j, vq in enumerate(smap.VQ_grid):
+                writer.writerow([e_txt, f"{vq:.10g}", f"{smap.values[i, j]:.10g}"])
+
+
+def test_map_csv_bytes_match_csv_writer(tmp_path, fitted_params):
+    grid = resonance_grid(fitted_params.far_detuned(), 2001)
+    vq_grid = np.array([-60.0, -2.5e-7, 0.0, 17.6, 1e12, 95.0])
+    values = np.random.default_rng(3).random((grid.size, vq_grid.size))
+    values[::5] = 0.0
+    values[1::7] *= 1e-12
+    values[2::9] *= 3e14
+    values[3::11] = 1.0
+    for kind, v in (("S_RL", values), ("LDOS", values[::-1].copy())):
+        smap = SpectrumMap(E_grid=grid + 4600.0 * (kind == "LDOS"), VQ_grid=vq_grid,
+                           values=v, kind=kind)
+        write_map_csv(tmp_path / "fast.csv", smap)
+        _csv_writer_oracle(tmp_path / "oracle.csv", smap)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
