@@ -174,7 +174,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path) -> list:
     write_sweep_csv(sweep_path, sweep)
 
     gap = sweep.gap
-    vq_left, vq_right = working_points(params, gap=gap)
+    vq_left, vq_right = working_points(params)
     reports = {}
     pop_path = outdir / "edge_populations.csv"
     with open(pop_path, "w", newline="") as fh:

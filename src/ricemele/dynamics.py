@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from .errors import NotFoundError, NumericalError, ParameterError
 from .model import RAD_PER_NS_PER_MHZ, LabeledHamiltonian, ModelParams, build_hamiltonian
-from .spectral import BandGap, far_detuned_gap
+from .spectral import BandGap, eigenmodes, far_detuned_gap, in_gap_indices
 
 # eigenvector matrices worse-conditioned than this are treated as defective
 DEFECTIVE_COND = 1e12
@@ -121,17 +121,14 @@ def dressed_in_gap_mode(params: ModelParams, gap: BandGap = None):
     maximal qubit weight."""
     if gap is None:
         gap = far_detuned_gap(params)
-    H = build_hamiltonian(params, include_ports=True)
-    lam, u = np.linalg.eig(H.matrix)
-    u = u / np.linalg.norm(u, axis=0, keepdims=True)
-    inside = np.flatnonzero((lam.real > gap.lower) & (lam.real < gap.upper))
-    if inside.size == 0:
+    modes = eigenmodes(build_hamiltonian(params, include_ports=True))
+    inside = in_gap_indices(modes, gap)
+    if not inside:
         raise NotFoundError(
             f"no in-gap mode: gap is ({gap.lower:.3f}, {gap.upper:.3f}) MHz"
         )
-    qw = np.abs(u[H.roles.Q - 1, inside]) ** 2
-    k = inside[int(np.argmax(qw))]
-    return lam[k], u[:, k]
+    k = max(inside, key=lambda i: modes.qubit_weight[i])
+    return modes.eigenvalues[k], modes.eigenvectors[:, k]
 
 
 def decay_time(energy: complex) -> float:

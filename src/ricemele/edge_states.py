@@ -3,6 +3,11 @@
 Directionality is measured from the central site outward: the photonic
 population left of M versus right of M, with the central-site and qubit
 populations reported separately rather than folded into either side.
+
+The unidirectional working points need no search: at VQ = -V (+V) the
+qubit and the zero mode of the left (right) half-chain form an exact
+eigenstate with nothing on the other side of M, so working_points returns
+(-V, +V) and edge_mode finds the state it names.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NotFoundError, ParameterError
 from .model import ModelParams, SiteRoles, build_hamiltonian
@@ -110,52 +114,25 @@ def edge_mode(params: ModelParams, gap: BandGap, direction: str):
     return best
 
 
-def _best_in_gap_chi(params: ModelParams, vq: float, gap: BandGap, direction: str) -> float:
-    """Largest chi over the in-gap modes at one qubit energy; nan if none."""
-    best = edge_mode(params.with_(VQ=float(vq)), gap, direction)
-    return math.nan if best is None else best[2].chi
+def working_points(params: ModelParams) -> tuple[float, float]:
+    """Qubit energies (VQ_left, VQ_right) = (-V, +V) of the unidirectional
+    edge states, exactly.
 
-
-def working_points(
-    params: ModelParams,
-    gap: BandGap = None,
-    scan_points: int = 161,
-) -> tuple[float, float]:
-    """Qubit energies (VQ_left, VQ_right) maximizing in-gap directionality.
-
-    A coarse scan across the band gap locates the chi maximum for each
-    direction; a bounded scalar refinement then polishes it. For the ideal
-    model both points converge onto VQ = -V and +V.
+    Each half-chain (sites 1..NL and NR..portR) is an odd Rice-Mele chain
+    whose sublattice holding both of its ends carries -V on the left and +V
+    on the right, so each half has an exact zero mode at that energy: a
+    vector on that sublattice whose hoppings cancel on every site of the
+    other one. At VQ = -V the left zero mode plus a qubit amplitude that
+    cancels the zero mode's hopping into M (possible for tQ > 0) is an
+    eigenstate at E = -V with M and every site right of M empty; VQ = +V
+    mirrors it. This is the bound-state picture of Bello et al., Sci. Adv.
+    5, eaaw0297 (2019).
+    At tQ = 0 the qubit is decoupled, and every VQ gives a bare qubit mode
+    with chi = inf.
     """
     if params.V == 0:
         raise ParameterError("V must be nonzero: with V = 0 the two directions are degenerate")
-    if gap is None:
-        gap = far_detuned_gap(params)
-    margin = 0.02 * gap.width
-    grid = np.linspace(gap.lower + margin, gap.upper - margin, scan_points)
-
-    found = {}
-    for direction in ("left", "right"):
-        chis = np.array([_best_in_gap_chi(params, vq, gap, direction) for vq in grid])
-        valid = np.isfinite(chis) | np.isposinf(chis)
-        if not valid.any():
-            raise NotFoundError(f"no in-gap state found across the scan range for {direction}")
-        # -log10(chi) is smooth through the divergence once capped
-        objective = -np.log10(np.clip(np.where(valid, chis, 1e-300), 1e-300, 1e300))
-        k = int(np.argmin(objective))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, len(grid) - 1)]
-
-        def neg_log_chi(vq):
-            chi = _best_in_gap_chi(params, vq, gap, direction)
-            if math.isnan(chi):
-                return 300.0
-            return -math.log10(min(max(chi, 1e-300), 1e300))
-
-        res = minimize_scalar(neg_log_chi, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-4})
-        found[direction] = float(res.x)
-    return found["left"], found["right"]
+    return -float(params.V), float(params.V)
 
 
 def bidirectional_point(params: ModelParams, gap: BandGap = None) -> float:

@@ -182,11 +182,7 @@ class QubitSweep:
     gap: BandGap                  # far-detuned gap the in_gap flags refer to
 
 
-def sweep_qubit_energy(
-    params: ModelParams,
-    VQ_grid,
-    include_ports: bool = False,
-) -> QubitSweep:
+def sweep_qubit_energy(params: ModelParams, VQ_grid) -> QubitSweep:
     """One eigensolve per grid point; in-gap flags from the far-detuned gap."""
     vq_grid = np.asarray(VQ_grid, dtype=float)
     if vq_grid.size == 0:
@@ -199,33 +195,12 @@ def sweep_qubit_energy(
     cw = np.empty(shape)
     in_gap = np.zeros(shape, dtype=bool)
     for i, vq in enumerate(vq_grid):
-        modes = eigenmodes(build_hamiltonian(params.with_(VQ=float(vq)), include_ports))
+        modes = eigenmodes(build_hamiltonian(params.with_(VQ=float(vq))))
         evals[i] = modes.eigenvalues
         qw[i] = modes.qubit_weight
         cw[i] = modes.central_weight
         in_gap[i, in_gap_indices(modes, gap)] = True
     return QubitSweep(vq_grid, evals, qw, cw, in_gap, gap)
-
-
-def match_branches(prev: np.ndarray, cur: np.ndarray, prev_vecs=None, cur_vecs=None):
-    """Permutation aligning cur eigenvalues to prev branches.
-
-    Sorted-order pairing on the real parts; when two consecutive prev values
-    nearly collide, eigenvector overlap decides whether the pair is swapped.
-    """
-    order = np.argsort(cur.real, kind="stable")
-    if prev_vecs is None or cur_vecs is None:
-        return order
-    prev = np.asarray(prev)
-    tol = 1e-6 * max(1.0, float(np.max(np.abs(prev))))
-    for k in range(len(order) - 1):
-        a, b = order[k], order[k + 1]
-        if abs(prev[k].real - prev[k + 1].real) < tol:
-            keep = abs(np.vdot(prev_vecs[:, k], cur_vecs[:, a]))
-            swap = abs(np.vdot(prev_vecs[:, k], cur_vecs[:, b]))
-            if swap > keep:
-                order[k], order[k + 1] = b, a
-    return order
 
 
 def three_site_surrogate(params: ModelParams) -> np.ndarray:

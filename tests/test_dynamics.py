@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ricemele import (
     BlochParams,
     ModelParams,
     NotFoundError,
+    NumericalError,
     ParameterError,
     bloch_rabi_trace,
     build_hamiltonian,
@@ -19,7 +21,7 @@ from ricemele import (
     ramsey_trace,
 )
 from ricemele.dynamics import best_quadrature, read_trace_csv, write_trace_csv
-from ricemele.model import RAD_PER_NS_PER_MHZ, LabeledHamiltonian, SiteRoles
+from ricemele.model import RAD_PER_NS_PER_MHZ, LabeledHamiltonian, SiteRoles, site_roles
 
 
 def _single_site(z):
@@ -292,3 +294,27 @@ def test_trace_csv_round_trip(tmp_path):
     assert set(back.channels) == set(trace.channels)
     for name in trace.channels:
         assert np.allclose(back.channel(name), trace.channel(name), atol=1e-9)
+
+
+def _jordan_like(p=1):
+    # (10 - 5j) I plus 3 on the superdiagonal: cond of the eigenvector matrix ~1e105
+    roles = site_roles(p)
+    m = (10.0 - 5.0j) * np.eye(roles.dim) + 3.0 * np.eye(roles.dim, k=1)
+    return LabeledHamiltonian(m, roles, hermitian=False)
+
+
+def test_near_defective_fallback_matches_expm():
+    H = _jordan_like()
+    psi0 = _qubit_start(H)
+    t = np.linspace(0.0, 50.0, 101)
+    with pytest.warns(UserWarning, match="near-defective"):
+        trace = evolve_single_excitation(H, psi0, t)
+    last = np.array([trace.channel(f"site_{i:02d}")[-1] for i in range(1, H.roles.dim + 1)])
+    want = expm(-1j * RAD_PER_NS_PER_MHZ * H.matrix * t[-1]) @ psi0
+    assert np.max(np.abs(last - want)) < 1e-12
+
+
+def test_near_defective_fallback_needs_uniform_grid():
+    H = _jordan_like()
+    with pytest.warns(UserWarning, match="near-defective"), pytest.raises(NumericalError):
+        evolve_single_excitation(H, _qubit_start(H), [0.0, 1.0, 3.0])

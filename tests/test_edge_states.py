@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import minimize_scalar
 
 from ricemele import (
+    InsufficientModesError,
     ModelParams,
     ParameterError,
     build_hamiltonian,
@@ -17,7 +19,7 @@ from ricemele import (
     in_gap_indices,
     working_points,
 )
-from ricemele.edge_states import bidirectional_point
+from ricemele.edge_states import bidirectional_point, edge_mode
 from ricemele.model import site_roles
 
 
@@ -165,3 +167,74 @@ def test_report_invariants(vec, direction):
             assert rep.chi_dB == pytest.approx(10.0 * math.log10(rep.chi), abs=1e-9)
     else:
         assert rep.fidelity == 1.0
+
+
+def _best_in_gap_chi(params, vq, gap, direction):
+    best = edge_mode(params.with_(VQ=float(vq)), gap, direction)
+    return math.nan if best is None else best[2].chi
+
+
+def _scanned_working_points(params, scan_points=161):
+    """Oracle: the chi maximum per direction, from a scan across the
+    far-detuned gap (2 % margins) and a bounded scalar refinement."""
+    gap = far_detuned_gap(params)
+    margin = 0.02 * gap.width
+    grid = np.linspace(gap.lower + margin, gap.upper - margin, scan_points)
+    found = {}
+    for direction in ("left", "right"):
+        chis = np.array([_best_in_gap_chi(params, vq, gap, direction) for vq in grid])
+        valid = np.isfinite(chis) | np.isposinf(chis)
+        assert valid.any()
+        # -log10(chi) is smooth through the divergence once capped
+        objective = -np.log10(np.clip(np.where(valid, chis, 1e-300), 1e-300, 1e300))
+        k = int(np.argmin(objective))
+        lo = grid[max(k - 1, 0)]
+        hi = grid[min(k + 1, len(grid) - 1)]
+
+        def neg_log_chi(vq):
+            chi = _best_in_gap_chi(params, vq, gap, direction)
+            if math.isnan(chi):
+                return 300.0
+            return -math.log10(min(max(chi, 1e-300), 1e300))
+
+        res = minimize_scalar(neg_log_chi, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-4})
+        found[direction] = float(res.x)
+    return found["left"], found["right"]
+
+
+def test_working_points_are_exactly_minus_plus_V(fig1_params, fitted_params):
+    assert working_points(fig1_params) == (-37.5, 37.5)
+    assert working_points(fitted_params) == (-40.0, 40.0)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fitted"])
+def test_working_points_match_scan_oracle(name, fig1_params, fitted_params):
+    params = fig1_params if name == "fig1" else fitted_params.with_(sigmaL=0j, sigmaR=0j)
+    exact = working_points(params)
+    scanned = _scanned_working_points(params)
+    assert np.max(np.abs(np.subtract(exact, scanned))) < 2e-5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=8),
+    t1=st.floats(10.0, 300.0),
+    t2=st.floats(10.0, 300.0),
+    V=st.floats(1.0, 100.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    VM=st.floats(-600.0, 600.0),
+    tQ=st.floats(1.0, 200.0),
+)
+def test_working_points_give_infinite_chi(p, t1, t2, V, sign, VM, tQ):
+    params = ModelParams(p=p, V=sign * V, t1=t1, t2=t2, tQ=tQ, VQ=0.0, VM=VM)
+    try:
+        gap = far_detuned_gap(params)
+    except InsufficientModesError:
+        assume(False)
+    vq_left, vq_right = working_points(params)
+    assume(gap.lower < min(vq_left, vq_right) and max(vq_left, vq_right) < gap.upper)
+    for vq, direction in ((vq_left, "left"), (vq_right, "right")):
+        found = edge_mode(params.with_(VQ=vq), gap, direction)
+        assert found is not None
+        assert math.isinf(found[2].chi)

@@ -238,18 +238,3 @@ def test_sweep_csv_format(tmp_path, fig1_params):
     assert len(lines) == 1 + 3 * 44
     in_gap_rows = [l for l in lines[1:] if l.startswith("-37.5,") and l.endswith(",1")]
     assert len(in_gap_rows) == 2
-
-
-def test_match_branches_uses_overlap_at_degeneracy():
-    from ricemele.spectral import match_branches
-
-    e1 = np.array([1.0, 0.0], dtype=complex)
-    e2 = np.array([0.0, 1.0], dtype=complex)
-    prev = np.array([1.0, 1.0 + 1e-9], dtype=complex)
-    prev_vecs = np.column_stack([e1, e2])
-    cur = np.array([0.9, 1.1], dtype=complex)
-    cur_vecs = np.column_stack([e2, e1])  # the branches crossed
-    order = match_branches(prev, cur, prev_vecs, cur_vecs)
-    assert order.tolist() == [1, 0]
-    # without vectors the pairing is plain sorted order
-    assert match_branches(prev, cur).tolist() == [0, 1]
