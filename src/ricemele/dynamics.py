@@ -2,6 +2,8 @@
 
 Energies are MHz; times are ns. Phase evolution uses the angular factor
 RAD_PER_NS_PER_MHZ, so a mode at E MHz acquires exp(-i 2pi 1e-3 E t).
+Both traces solve a linear ODE with a constant generator (per drive segment
+for the Bloch trace) exactly, through one shared eigen-propagator.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .errors import NotFoundError, NumericalError, ParameterError
 from .model import RAD_PER_NS_PER_MHZ, LabeledHamiltonian, ModelParams, build_hamiltonian
@@ -69,14 +69,31 @@ class BlochParams:
             raise ParameterError("w_left + w_right cannot exceed 1")
 
 
+def _propagate(m: np.ndarray, rate: complex, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(rate * m * t_i) @ x0 for every t_i, one column per time.
+
+    One eigendecomposition m = U diag(lam) U^-1 serves the whole grid. If
+    cond(U) >= DEFECTIVE_COND the eigenbasis is treated as defective, and
+    each sample gets its own matrix exponential instead, on any grid.
+    """
+    lam, u = np.linalg.eig(m)
+    if np.linalg.cond(u) < DEFECTIVE_COND:
+        coeff = np.linalg.solve(u, x0)
+        phases = np.exp(rate * np.outer(lam, t))
+        return u @ (phases * coeff[:, None])
+    from scipy.linalg import expm
+    warnings.warn("near-defective generator; falling back to one matrix exponential per sample")
+    # the reshape keeps the (dim, 0) shape of an empty grid
+    return np.array([expm(rate * m * ti) @ x0 for ti in t]).reshape(t.size, x0.size).T
+
+
 def evolve_single_excitation(H_eff: LabeledHamiltonian, psi0, t_grid) -> TimeTrace:
     """Propagate one excitation under the (generally non-Hermitian) chain.
 
-    Uses the eigendecomposition psi(t) = U exp(-i k L t) U^-1 psi0; if the
-    eigenvector matrix is too ill-conditioned the evolution falls back to
-    dense stepping with the matrix exponential on a uniform grid. Channels:
-    one per site ('site_01', ...) plus the port output fields
-    o_p(t) = sqrt(Gamma_p) * psi_portsite(t).
+    Exact on any grid: psi(t) = exp(-i k H t) psi0 through _propagate, by
+    eigendecomposition or, for a near-defective H, one matrix exponential
+    per sample. Channels: one per site ('site_01', ...) plus the port output
+    fields o_p(t) = sqrt(Gamma_p) * psi_portsite(t).
     """
     m = H_eff.matrix
     psi0 = np.asarray(psi0, dtype=complex)
@@ -88,24 +105,7 @@ def evolve_single_excitation(H_eff: LabeledHamiltonian, psi0, t_grid) -> TimeTra
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
         raise ParameterError("time grid must be non-empty")
-
-    lam, u = np.linalg.eig(m)
-    if np.linalg.cond(u) < DEFECTIVE_COND:
-        coeff = np.linalg.solve(u, psi0)
-        phases = np.exp(-1j * RAD_PER_NS_PER_MHZ * np.outer(lam, t))
-        psi_t = u @ (phases * coeff[:, None])
-    else:
-        warnings.warn("near-defective Hamiltonian; falling back to dense stepping")
-        steps = np.diff(t)
-        if t.size > 2 and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise NumericalError("dense-stepping fallback requires a uniform time grid")
-        psi_t = np.empty((m.shape[0], t.size), dtype=complex)
-        u_step = expm(-1j * RAD_PER_NS_PER_MHZ * m * (steps[0] if steps.size else 0.0))
-        psi = expm(-1j * RAD_PER_NS_PER_MHZ * m * t[0]) @ psi0
-        for i in range(t.size):
-            psi_t[:, i] = psi
-            if i + 1 < t.size:
-                psi = u_step @ psi
+    psi_t = _propagate(m, -1j * RAD_PER_NS_PER_MHZ, psi0, t)
 
     roles = H_eff.roles
     sites = {f"site_{i + 1:02d}": psi_t[i] for i in range(m.shape[0])}
@@ -162,6 +162,7 @@ def infer_port_self_energy(
         return 0j
     if target_T1 <= 0:
         raise ParameterError(f"target_T1 must be positive, got {target_T1}")
+    from scipy.optimize import brentq
     gap = far_detuned_gap(params)
 
     def t1_of(g: float) -> float:
@@ -184,15 +185,14 @@ def infer_port_self_energy(
     return -1j * g_root
 
 
-def _bloch_rhs(s: np.ndarray, omega: float, delta: float, T1: float, T2: float) -> np.ndarray:
-    sx, sy, sz = s
-    return np.array(
-        [
-            -delta * sy - sx / T2,
-            delta * sx + omega * sz - sy / T2,
-            -omega * sy - (sz + 1.0) / T1,
-        ]
-    )
+def _bloch_generator(omega: float, delta: float, T1: float, T2: float) -> np.ndarray:
+    """Generator of d/dt (sx, sy, sz, 1) for an x-axis drive (rad/ns)."""
+    return np.array([
+        [-1.0 / T2, -delta, 0.0, 0.0],
+        [delta, -1.0 / T2, omega, 0.0],
+        [0.0, -omega, -1.0 / T1, -1.0 / T1],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
 
 
 def bloch_rabi_trace(
@@ -204,9 +204,10 @@ def bloch_rabi_trace(
     """Driven two-level Bloch trace, by default starting from the ground state.
 
     The x-axis drive stays on until drive_on_until (ns), then the state
-    relaxes freely. Fixed-step RK4 with substeps capped well below the
-    fastest of the Rabi, detuning and relaxation rates. Channels: sigma_z,
-    sigma_minus = (sx - i sy)/2, and port signals sqrt(w_p) * sigma_minus.
+    relaxes freely. The Bloch equations are linear with a constant generator
+    on each drive segment, so _propagate solves them exactly on any grid.
+    Channels: sigma_z, sigma_minus = (sx - i sy)/2, and port signals
+    sqrt(w_p) * sigma_minus.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2:
@@ -219,31 +220,16 @@ def bloch_rabi_trace(
 
     omega = RAD_PER_NS_PER_MHZ * bp.rabi_freq
     delta = RAD_PER_NS_PER_MHZ * bp.detuning
-    rate = max(abs(omega), abs(delta), 1.0 / bp.T1, 1.0 / bp.T2)
-    h_max = 0.02 / rate
-    if h_max < 1e-6:
-        raise NumericalError(f"required step {h_max:.3g} ns is below the stepping floor")
-
-    out = np.empty((3, t.size))
-    out[:, 0] = s
-    now = t[0]
-    for i in range(1, t.size):
-        target = t[i]
-        while now < target - 1e-12:
-            # do not step across the drive switch-off
-            edge = drive_on_until if now < drive_on_until < target else target
-            span = edge - now
-            n_sub = max(int(math.ceil(span / h_max)), 1)
-            h = span / n_sub
-            om = omega if now < drive_on_until else 0.0
-            for _ in range(n_sub):
-                k1 = _bloch_rhs(s, om, delta, bp.T1, bp.T2)
-                k2 = _bloch_rhs(s + 0.5 * h * k1, om, delta, bp.T1, bp.T2)
-                k3 = _bloch_rhs(s + 0.5 * h * k2, om, delta, bp.T1, bp.T2)
-                k4 = _bloch_rhs(s + h * k3, om, delta, bp.T1, bp.T2)
-                s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            now = edge
-        out[:, i] = s
+    off = float(np.clip(drive_on_until, t[0], t[-1]))
+    driven = t <= off
+    on = _propagate(
+        _bloch_generator(omega, delta, bp.T1, bp.T2), 1.0, np.append(s, 1.0),
+        np.append(t[driven], off) - t[0],
+    ).real
+    free = _propagate(
+        _bloch_generator(0.0, delta, bp.T1, bp.T2), 1.0, on[:, -1], t[~driven] - off
+    ).real
+    out = np.concatenate([on[:3, :-1], free[:3]], axis=1)
 
     lengths = np.sqrt(np.sum(out**2, axis=0))
     if np.max(lengths) > 1.0 + 1e-6:

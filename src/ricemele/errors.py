@@ -20,7 +20,7 @@ class DataFormatError(RiceMeleError, ValueError):
 
 
 class NumericalError(RiceMeleError, RuntimeError):
-    """Solver failure (non-convergence, singular matrix, unstable stepping)."""
+    """Solver failure (non-convergence, singular matrix, Bloch vector off the sphere)."""
 
 
 class InsufficientModesError(RiceMeleError):

@@ -159,8 +159,7 @@ def bootstrap_amplitude(
     amplitudes = np.empty(n)
     npts = t.size
     for i in range(n):
-        pick = np.sort(rng.integers(0, npts, npts))
-        uniq = np.unique(pick)
+        uniq = np.flatnonzero(np.bincount(rng.integers(0, npts, npts), minlength=npts))
         centres = 0.5 * (t[uniq][1:] + t[uniq][:-1])
         nearest = uniq[np.searchsorted(centres, t)]
         amplitudes[i] = demodulate_amplitude(t, x[nearest], f_rabi, lpf_cutoff)

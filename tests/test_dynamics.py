@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ricemele import (
     BlochParams,
     ModelParams,
     NotFoundError,
-    NumericalError,
     ParameterError,
     bloch_rabi_trace,
     build_hamiltonian,
@@ -303,18 +305,166 @@ def _jordan_like(p=1):
     return LabeledHamiltonian(m, roles, hermitian=False)
 
 
-def test_near_defective_fallback_matches_expm():
+def _assert_fallback_matches_expm(t):
     H = _jordan_like()
     psi0 = _qubit_start(H)
-    t = np.linspace(0.0, 50.0, 101)
     with pytest.warns(UserWarning, match="near-defective"):
         trace = evolve_single_excitation(H, psi0, t)
-    last = np.array([trace.channel(f"site_{i:02d}")[-1] for i in range(1, H.roles.dim + 1)])
-    want = expm(-1j * RAD_PER_NS_PER_MHZ * H.matrix * t[-1]) @ psi0
-    assert np.max(np.abs(last - want)) < 1e-12
+    for i, ti in enumerate(t):
+        got = np.array([trace.channel(f"site_{j:02d}")[i] for j in range(1, H.roles.dim + 1)])
+        want = expm(-1j * RAD_PER_NS_PER_MHZ * H.matrix * ti) @ psi0
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_near_defective_fallback_needs_uniform_grid():
-    H = _jordan_like()
-    with pytest.warns(UserWarning, match="near-defective"), pytest.raises(NumericalError):
-        evolve_single_excitation(H, _qubit_start(H), [0.0, 1.0, 3.0])
+def test_near_defective_fallback_matches_expm():
+    _assert_fallback_matches_expm(np.linspace(0.0, 50.0, 101))
+
+
+def test_near_defective_fallback_on_nonuniform_grid():
+    _assert_fallback_matches_expm(np.array([0.0, 1.0, 3.0, 7.5]))
+
+
+# Oracles for the exact Bloch propagator. Both integrate the Bloch equations
+# d/dt (sx, sy, sz) = (-delta sy - sx/T2, delta sx + omega sz - sy/T2,
+# -omega sy - (sz + 1)/T1) with the drive on while t < drive_on_until.
+
+
+def _bloch_rhs(s, omega, delta, T1, T2):
+    sx, sy, sz = s
+    return np.array(
+        [
+            -delta * sy - sx / T2,
+            delta * sx + omega * sz - sy / T2,
+            -omega * sy - (sz + 1.0) / T1,
+        ]
+    )
+
+
+def _rk4_bloch(bp, t, drive_on_until, s0=(0.0, 0.0, -1.0)):
+    """Fixed-step RK4 with substeps of at most 0.02 / (fastest rate)."""
+    omega = RAD_PER_NS_PER_MHZ * bp.rabi_freq
+    delta = RAD_PER_NS_PER_MHZ * bp.detuning
+    h_max = 0.02 / max(abs(omega), abs(delta), 1.0 / bp.T1, 1.0 / bp.T2)
+    s = np.asarray(s0, dtype=float)
+    out = np.empty((3, t.size))
+    out[:, 0] = s
+    now = t[0]
+    for i in range(1, t.size):
+        while now < t[i] - 1e-12:
+            # do not step across the drive switch-off
+            edge = drive_on_until if now < drive_on_until < t[i] else t[i]
+            n_sub = max(int(math.ceil((edge - now) / h_max)), 1)
+            h = (edge - now) / n_sub
+            om = omega if now < drive_on_until else 0.0
+            for _ in range(n_sub):
+                k1 = _bloch_rhs(s, om, delta, bp.T1, bp.T2)
+                k2 = _bloch_rhs(s + 0.5 * h * k1, om, delta, bp.T1, bp.T2)
+                k3 = _bloch_rhs(s + 0.5 * h * k2, om, delta, bp.T1, bp.T2)
+                k4 = _bloch_rhs(s + h * k3, om, delta, bp.T1, bp.T2)
+                s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            now = edge
+        out[:, i] = s
+    return out
+
+
+def _expm_bloch(bp, t, drive_on_until, s0=(0.0, 0.0, -1.0)):
+    """One 4x4 matrix exponential of the augmented generator per interval."""
+    delta = RAD_PER_NS_PER_MHZ * bp.detuning
+
+    def generator(omega):
+        g = np.zeros((4, 4))
+        g[0, 0] = g[1, 1] = -1.0 / bp.T2
+        g[0, 1], g[1, 0] = -delta, delta
+        g[1, 2], g[2, 1] = omega, -omega
+        g[2, 2] = g[2, 3] = -1.0 / bp.T1
+        return g
+
+    g_on, g_off = generator(RAD_PER_NS_PER_MHZ * bp.rabi_freq), generator(0.0)
+    s = np.append(np.asarray(s0, dtype=float), 1.0)
+    out = np.empty((3, t.size))
+    out[:, 0] = s[:3]
+    for i in range(1, t.size):
+        a, b = t[i - 1], t[i]
+        if a < drive_on_until < b:
+            s = expm(g_off * (b - drive_on_until)) @ expm(g_on * (drive_on_until - a)) @ s
+        else:
+            s = expm((g_on if b <= drive_on_until else g_off) * (b - a)) @ s
+        out[:, i] = s[:3]
+    return out
+
+
+def _channels_from(bp, s):
+    sigma_minus = 0.5 * (s[0] - 1j * s[1])
+    return {
+        "sigma_z": s[2],
+        "sigma_minus": sigma_minus,
+        "port_L": math.sqrt(bp.w_left) * sigma_minus,
+        "port_R": math.sqrt(bp.w_right) * sigma_minus,
+    }
+
+
+def _max_channel_error(trace, bp, s):
+    want = _channels_from(bp, s)
+    return max(float(np.max(np.abs(trace.channel(k) - v))) for k, v in want.items())
+
+
+@pytest.mark.parametrize(
+    "bp, drive_on_until",
+    [
+        # fig5: T1 of the fitted device's dressed mode, T2 = 2 T1
+        (BlochParams(rabi_freq=25.0, T1=370.0, T2=740.0, w_left=0.9, w_right=0.05), 600.0),
+        (BlochParams(rabi_freq=40.0, T1=150.0, T2=90.0, detuning=-12.0), 333.3),
+        (BlochParams(rabi_freq=5.0, T1=2000.0, T2=50.0, detuning=25.0, w_left=0.3), 1500.0),
+    ],
+)
+def test_bloch_trace_matches_rk4_oracle(bp, drive_on_until):
+    t = np.linspace(0.0, 1500.0, 3001)
+    trace = bloch_rabi_trace(bp, t, drive_on_until=drive_on_until)
+    assert _max_channel_error(trace, bp, _rk4_bloch(bp, t, drive_on_until)) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rabi=st.floats(0.0, 60.0),
+    detuning=st.floats(-30.0, 30.0),
+    T1=st.floats(10.0, 5000.0),
+    t2_frac=st.floats(1e-3, 1.0),
+    uniform=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    switch=st.sampled_from(["before", "inside", "after"]),
+)
+def test_bloch_trace_matches_expm_oracle(rabi, detuning, T1, t2_frac, uniform, seed, switch):
+    bp = BlochParams(rabi_freq=rabi, T1=T1, T2=2.0 * T1 * t2_frac, detuning=detuning)
+    rng = np.random.default_rng(seed)
+    if uniform:
+        t = np.linspace(0.0, 800.0, 161)
+    else:
+        t = np.cumsum(rng.uniform(0.1, 10.0, 161)) - 5.0
+    drive_on_until = {
+        "before": t[0] - 1.0,
+        "inside": rng.uniform(t[0], t[-1]),
+        "after": t[-1] + 1.0,
+    }[switch]
+    trace = bloch_rabi_trace(bp, t, drive_on_until=drive_on_until)
+    assert _max_channel_error(trace, bp, _expm_bloch(bp, t, drive_on_until)) < 1e-9
+
+
+def test_bloch_trace_at_critical_damping():
+    # omega = |1/T1 - 1/T2| / 2 makes the driven y-z block a Jordan block;
+    # the eigenbasis then has cond ~1e8, below DEFECTIVE_COND, so no warning
+    T1, T2 = 300.0, 600.0
+    omega = abs(1.0 / T1 - 1.0 / T2) / 2.0
+    bp = BlochParams(rabi_freq=omega / RAD_PER_NS_PER_MHZ, T1=T1, T2=T2)
+    t = np.linspace(0.0, 3000.0, 1501)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = bloch_rabi_trace(bp, t, drive_on_until=1200.0)
+    assert _max_channel_error(trace, bp, _expm_bloch(bp, t, 1200.0)) < 1e-7
+
+
+def test_bloch_trace_below_the_old_stepping_floor():
+    # RK4 needed steps of 0.02 * T1 = 2e-7 ns here and refused to run
+    bp = BlochParams(rabi_freq=25.0, T1=1e-5, T2=1e-5)
+    t = np.linspace(0.0, 100.0, 201)
+    trace = bloch_rabi_trace(bp, t, drive_on_until=50.0, s0=(0.0, 0.0, 1.0))
+    assert np.max(np.abs(trace.channel("sigma_z")[1:] + 1.0)) <= 1e-11

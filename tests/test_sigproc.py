@@ -92,6 +92,26 @@ def test_bootstrap_paper_scale_regime(rng):
     assert 0.03 < std < 1.0
 
 
+def _bootstrap_sort_unique(t, x, f_rabi, n, seed):
+    """The resampling loop as first written, with np.sort + np.unique."""
+    rng = np.random.default_rng(seed)
+    amplitudes = np.empty(n)
+    for i in range(n):
+        uniq = np.unique(np.sort(rng.integers(0, t.size, t.size)))
+        centres = 0.5 * (t[uniq][1:] + t[uniq][:-1])
+        nearest = uniq[np.searchsorted(centres, t)]
+        amplitudes[i] = demodulate_amplitude(t, x[nearest], f_rabi)
+    return float(np.mean(amplitudes)), float(np.std(amplitudes))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_bootstrap_matches_sort_unique_resampling_bit_for_bit(seed):
+    noise = np.random.default_rng(seed + 100).normal(0.0, 0.5, T_GRID.size)
+    x = _tone(F_RABI, amplitude=1.0) + noise
+    got = bootstrap_amplitude(T_GRID, x, F_RABI, n=100, seed=seed)
+    assert got == _bootstrap_sort_unique(T_GRID, x, F_RABI, n=100, seed=seed)
+
+
 def test_bootstrap_validation():
     with pytest.raises(ParameterError):
         bootstrap_amplitude(T_GRID, _tone(F_RABI), F_RABI, n=50)
