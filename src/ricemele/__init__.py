@@ -78,5 +78,4 @@ from .sigproc import (
     bootstrap_amplitude,
     chi_estimate,
     demodulate_amplitude,
-    display_filter,
 )

@@ -19,8 +19,9 @@ from .errors import NotFoundError, NumericalError, ParameterError
 from .model import RAD_PER_NS_PER_MHZ, LabeledHamiltonian, ModelParams, build_hamiltonian
 from .spectral import BandGap, eigenmodes, far_detuned_gap, in_gap_indices
 
-# eigenvector matrices worse-conditioned than this are treated as defective
-DEFECTIVE_COND = 1e12
+# eigenvector matrices worse-conditioned than this are treated as defective:
+# the eig path loses about cond(U) * 1e-16, so at most ~1e-7 below it
+DEFECTIVE_COND = 1e9
 # |Im E| below this (MHz) counts as a closed system -> infinite lifetime
 CLOSED_IM_E = 1e-12
 
@@ -278,20 +279,25 @@ def best_quadrature(samples: np.ndarray) -> np.ndarray:
 
 
 def write_trace_csv(path, trace: TimeTrace) -> None:
-    """CSV with t_ns followed by one re/im column pair per channel."""
+    """CSV with t_ns followed by one re/im column pair per channel.
+
+    Row by row, one format call each, in csv.writer's dialect (comma
+    separated, CRLF line ends); only the header can need csv quoting.
+    """
     names = list(trace.channels)
+    columns = [np.asarray(trace.t_grid, dtype=float)]
+    for name in names:
+        z = np.asarray(trace.channels[name], dtype=complex)
+        columns += [z.real, z.imag]
+    table = np.column_stack(columns)
+    row_format = ",".join(["{:.10g}"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         header = ["t_ns"]
         for name in names:
             header += [f"{name}_re", f"{name}_im"]
-        writer.writerow(header)
-        for i, ti in enumerate(trace.t_grid):
-            row = [f"{ti:.10g}"]
-            for name in names:
-                z = complex(trace.channels[name][i])
-                row += [f"{z.real:.10g}", f"{z.imag:.10g}"]
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for row in table:
+            fh.write(row_format.format(*row.tolist()))
 
 
 def read_trace_csv(path) -> TimeTrace:

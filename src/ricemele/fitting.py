@@ -23,9 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.optimize import minimize, minimize_scalar
-from scipy.signal import find_peaks
 
 from .errors import InsufficientModesError, NumericalError, ParameterError
 from .model import ModelParams, _waveguide_tridiagonal, site_roles
@@ -127,6 +124,32 @@ def median_background_subtract(smap: SpectrumMap, window: int) -> SpectrumMap:
     )
 
 
+def _prominent_maxima(y: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the interior local maxima of y with at least min_prominence.
+
+    A maximum is a run of equal samples whose neighbours on both sides are
+    strictly lower; a run that touches either end of y is not one. The run
+    counts once, at its midpoint (rounded down). Its prominence is its height
+    above the higher of its two bases, a base being the lowest sample between
+    the maximum and the nearest strictly higher sample on that side, or the
+    end of y if there is none. These are the indices
+    scipy.signal.find_peaks(y, prominence=min_prominence) returns.
+    """
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    ends = np.r_[starts[1:], y.size] - 1
+    v = y[starts]
+    k = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[k] + ends[k]) // 2
+    keep = np.empty(peaks.size, dtype=bool)
+    for j, i in enumerate(peaks):
+        higher = np.flatnonzero(y > y[i])
+        k = np.searchsorted(higher, i)
+        lo = higher[k - 1] + 1 if k else 0
+        hi = higher[k] if k < higher.size else y.size
+        keep[j] = y[i] - max(y[lo:i].min(), y[i:hi].min()) >= min_prominence
+    return peaks[keep]
+
+
 def extract_peaks(
     energies,
     amplitudes,
@@ -136,8 +159,9 @@ def extract_peaks(
 ) -> PeakSet:
     """Local maxima with the requested prominence, parabolically refined.
 
-    The three samples around each maximum fix a parabola whose vertex gives
-    the sub-sample peak position and height. The vertex can lie above the
+    The maxima and their prominences follow _prominent_maxima. The three
+    samples around each maximum fix a parabola whose vertex gives the
+    sub-sample peak position and height. The vertex can lie above the
     largest sample, so the reported amplitude can exceed every measured
     value: on resonances sharper than a parabola over the grid spacing,
     |S_RL| peaks come out above 1 (up to 1.0116 on the fig4 preset).
@@ -148,10 +172,11 @@ def extract_peaks(
         raise ParameterError("energies and amplitudes must have equal length")
     if x.size < 3:
         raise ParameterError("need at least 3 samples to find peaks")
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("amplitudes must be finite")
 
-    idx, _ = find_peaks(y, prominence=min_prominence)
     peaks = []
-    for i in idx:
+    for i in _prominent_maxima(y, min_prominence):
         d2 = y[i - 1] - 2.0 * y[i] + y[i + 1]
         if d2 < 0:
             shift = 0.5 * (y[i - 1] - y[i + 1]) / d2
@@ -167,6 +192,8 @@ def extract_peaks(
 
 def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, vectors: bool = False):
     """Thin LAPACK stev wrapper; much lower overhead than the scipy front end."""
+    from scipy.linalg import lapack
+
     w, z, info = lapack.dstev(d, e, compute_v=int(vectors))
     if info != 0:
         raise NumericalError(f"tridiagonal eigensolver failed (info = {info})")
@@ -442,6 +469,8 @@ def _stage2_scalar(model: _GapModel, vqs, sizes, hi: float):
         diff = sizes - model_sizes
         return float(diff @ diff)
 
+    from scipy.optimize import minimize_scalar
+
     sol = minimize_scalar(gap_objective, bounds=(0.0, hi), method="bounded",
                           options={"xatol": 1e-3})
     if sol.fun >= _SENTINEL:
@@ -477,6 +506,8 @@ def _stage1_nelder_mead(x0, free, base, pair_idx, pair_freq, fixed_f0):
             return _SENTINEL
         res, _ = out
         return float(res @ res)
+
+    from scipy.optimize import minimize
 
     fatol = max(1e-10, 1e-7 * (objective(x0) + 1.0))
     return minimize(objective, x0, method="Nelder-Mead",

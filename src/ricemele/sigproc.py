@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, firwin
 
 from .errors import ParameterError
 from .model import RAD_PER_NS_PER_MHZ
@@ -68,50 +67,31 @@ class ChiEstimate:
 
 
 def _lowpass_taps(fs_mhz: float, cutoff_mhz: float) -> np.ndarray:
-    """Windowed-sinc taps with a transition band of at most TRANSITION_BAND."""
+    """Hamming-windowed sinc taps with unit DC gain and a transition band of
+    at most TRANSITION_BAND.
+
+    The window is written as scipy.signal.get_window writes it, so the taps
+    equal scipy.signal.firwin(numtaps, cutoff_mhz, fs=fs_mhz) bit for bit.
+    """
     numtaps = int(math.ceil(3.3 * fs_mhz / TRANSITION_BAND))
     numtaps += 1 - numtaps % 2
-    return firwin(numtaps, cutoff_mhz, fs=fs_mhz)
+    c = cutoff_mhz / (0.5 * fs_mhz)
+    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
+    window = 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, numtaps))
+    h = c * np.sinc(c * m) * window
+    return h / np.sum(h)
 
 
-def _zero_phase_lowpass(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Symmetric-FIR filtering with reflect padding: zero phase, no edge sag."""
-    half = len(taps) // 2
-    padded = np.pad(x, half, mode="reflect")
-    return fftconvolve(padded, taps, mode="valid")
+def _demodulation_weights(t: np.ndarray, f_rabi: float, lpf_cutoff: float):
+    """(w, duration) such that the demodulated amplitude of x is |x @ w| / duration.
 
-
-def display_filter(t_ns, samples, cutoff: float = 75.0) -> np.ndarray:
-    """Presentation low-pass used when plotting raw traces.
-
-    Not part of the directionality estimator; zero-phase, same cutoff
-    convention as the demodulator.
+    The demodulator mixes with s = sin(k f_rabi t), pads by reflection (P),
+    filters with the taps (valid convolution C) and integrates by the
+    trapezoid rule (weights q). All of it is linear, so
+    q . C P (s * x) = (s * P^T C^T q) . x: C^T q is one convolution of q with
+    the reversed taps, and P^T folds the weight of each padding sample back
+    onto the trace sample it copies.
     """
-    t = np.asarray(t_ns, dtype=float)
-    x = np.asarray(samples, dtype=complex)
-    if t.size != x.size or t.size < 4:
-        raise ParameterError("trace too short")
-    dt = np.diff(t)
-    if not np.allclose(dt, dt[0], rtol=1e-6, atol=1e-12):
-        raise ParameterError("trace must be uniformly sampled")
-    taps = _lowpass_taps(1e3 / dt[0], cutoff)
-    if len(taps) >= t.size:
-        raise ParameterError("trace too short for the display filter")
-    return _zero_phase_lowpass(x, taps)
-
-
-def demodulate_amplitude(t_ns, samples, f_rabi: float, lpf_cutoff: float = 6.0) -> float:
-    """Signal amplitude at the Rabi frequency of one trace channel.
-
-    Multiplies by sin(2 pi 1e-3 f_rabi t), low-pass filters with a zero-phase
-    windowed sinc at lpf_cutoff MHz, integrates by the trapezoid rule and
-    returns the magnitude normalized by the trace duration. A sinusoid of
-    amplitude A at f_rabi demodulates to A/2.
-    """
-    t = np.asarray(t_ns, dtype=float)
-    x = np.asarray(samples, dtype=complex)
-    if t.size != x.size:
-        raise ParameterError("time grid and samples must have equal length")
     if t.size < 4:
         raise ParameterError("trace too short")
     if f_rabi <= 0:
@@ -126,15 +106,49 @@ def demodulate_amplitude(t_ns, samples, f_rabi: float, lpf_cutoff: float = 6.0) 
         raise ParameterError("trace must be uniformly sampled")
 
     fs_mhz = 1e3 / dt[0]
+    if not 0.0 < lpf_cutoff < 0.5 * fs_mhz:
+        raise ParameterError(
+            f"lpf_cutoff must lie in (0, {0.5 * fs_mhz:.6g}) MHz, got {lpf_cutoff}"
+        )
     taps = _lowpass_taps(fs_mhz, lpf_cutoff)
     if len(taps) >= t.size:
         raise ParameterError(
             f"trace too short for the {TRANSITION_BAND} MHz transition band: "
             f"needs more than {len(taps)} samples, got {t.size}"
         )
-    mixed = x * np.sin(RAD_PER_NS_PER_MHZ * f_rabi * t)
-    dc = _zero_phase_lowpass(mixed, taps)
-    return float(abs(np.trapezoid(dc, t)) / duration)
+    n, half = t.size, len(taps) // 2
+    q = np.zeros(n)
+    q[:-1] += 0.5 * dt
+    q[1:] += 0.5 * dt
+    r = np.convolve(q, taps[::-1])
+    w = r[half:half + n]
+    # reflect padding: padded sample k < half copies x[half - k], and padded
+    # sample half + n + j copies x[n - 2 - j]
+    w[1:half + 1] += r[:half][::-1]
+    w[n - 1 - half:n - 1] += r[half + n:][::-1]
+    return np.sin(RAD_PER_NS_PER_MHZ * f_rabi * t) * w, duration
+
+
+def _trace(t_ns, samples):
+    t = np.asarray(t_ns, dtype=float)
+    x = np.asarray(samples, dtype=complex)
+    if t.size != x.size:
+        raise ParameterError("time grid and samples must have equal length")
+    return t, x
+
+
+def demodulate_amplitude(t_ns, samples, f_rabi: float, lpf_cutoff: float = 6.0) -> float:
+    """Signal amplitude at the Rabi frequency of one trace channel.
+
+    Multiplies by sin(2 pi 1e-3 f_rabi t), low-pass filters with a zero-phase
+    windowed sinc at lpf_cutoff MHz, integrates by the trapezoid rule and
+    returns the magnitude normalized by the trace duration. A sinusoid of
+    amplitude A at f_rabi demodulates to A/2. The whole chain is one dot
+    product with a weight vector (_demodulation_weights).
+    """
+    t, x = _trace(t_ns, samples)
+    w, duration = _demodulation_weights(t, f_rabi, lpf_cutoff)
+    return float(abs(x @ w) / duration)
 
 
 def bootstrap_amplitude(
@@ -149,11 +163,13 @@ def bootstrap_amplitude(
 
     Each resample draws time points with replacement, rebuilds a signal on
     the original grid by nearest-sample interpolation, and demodulates it.
+    The grid does not change between resamples, so one weight vector serves
+    them all and each resample costs a gather and a dot product.
     """
     if n < 100:
         raise ParameterError(f"need at least 100 bootstrap samples, got {n}")
-    t = np.asarray(t_ns, dtype=float)
-    x = np.asarray(samples, dtype=complex)
+    t, x = _trace(t_ns, samples)
+    w, duration = _demodulation_weights(t, f_rabi, lpf_cutoff)
     rng = np.random.default_rng(seed)
 
     amplitudes = np.empty(n)
@@ -162,7 +178,7 @@ def bootstrap_amplitude(
         uniq = np.flatnonzero(np.bincount(rng.integers(0, npts, npts), minlength=npts))
         centres = 0.5 * (t[uniq][1:] + t[uniq][:-1])
         nearest = uniq[np.searchsorted(centres, t)]
-        amplitudes[i] = demodulate_amplitude(t, x[nearest], f_rabi, lpf_cutoff)
+        amplitudes[i] = abs(x[nearest] @ w) / duration
     return float(np.mean(amplitudes)), float(np.std(amplitudes))
 
 

@@ -1,3 +1,4 @@
+import csv
 import math
 import warnings
 
@@ -22,7 +23,15 @@ from ricemele import (
     integrated_port_emission,
     ramsey_trace,
 )
-from ricemele.dynamics import best_quadrature, read_trace_csv, write_trace_csv
+from ricemele.dynamics import (
+    DEFECTIVE_COND,
+    TimeTrace,
+    _bloch_generator,
+    _propagate,
+    best_quadrature,
+    read_trace_csv,
+    write_trace_csv,
+)
 from ricemele.model import RAD_PER_NS_PER_MHZ, LabeledHamiltonian, SiteRoles, site_roles
 
 
@@ -296,6 +305,65 @@ def test_trace_csv_round_trip(tmp_path):
     assert set(back.channels) == set(trace.channels)
     for name in trace.channels:
         assert np.allclose(back.channel(name), trace.channel(name), atol=1e-9)
+
+
+def _write_trace_csv_writer(path, trace):
+    """write_trace_csv as first written: csv.writer, one formatted cell at a time."""
+    names = list(trace.channels)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["t_ns"]
+        for name in names:
+            header += [f"{name}_re", f"{name}_im"]
+        writer.writerow(header)
+        for i, ti in enumerate(trace.t_grid):
+            row = [f"{ti:.10g}"]
+            for name in names:
+                z = complex(trace.channels[name][i])
+                row += [f"{z.real:.10g}", f"{z.imag:.10g}"]
+            writer.writerow(row)
+
+
+def test_trace_csv_bytes_match_csv_writer(tmp_path, fitted_params):
+    H = build_hamiltonian(fitted_params, include_ports=True)
+    emission = evolve_single_excitation(H, _qubit_start(H), np.linspace(0.0, 300.0, 301))
+    odd = TimeTrace(
+        t_grid=np.arange(5),
+        channels={
+            "a,b": np.array([-0.0, 1e-300, -2.5e17, np.inf, np.nan]),
+            "c": np.array([1 + 2j, -0.0j, 1 / 3, -1e-5j, 123456789.123]),
+        },
+    )
+    for trace in (emission, odd):
+        write_trace_csv(tmp_path / "new.csv", trace)
+        _write_trace_csv_writer(tmp_path / "old.csv", trace)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_near_defective_threshold_catches_cond_1e10():
+    # -0.01 [[1, 1], [0, 1 + eps]] has cond(U) ~ 2 / eps = 1e10. The eig path
+    # is off by 2.4e-7 on this grid; scipy's expm by 7e-9
+    eps = 2e-10
+    m = -0.01 * np.array([[1.0, 1.0], [0.0, 1.0 + eps]])
+    assert DEFECTIVE_COND <= np.linalg.cond(np.linalg.eig(m)[1]) < 1e12
+    t = np.linspace(0.0, 2000.0, 41)
+    with pytest.warns(UserWarning, match="near-defective"):
+        got = _propagate(m, 1.0, np.array([0.0, 1.0]), t)
+    # exp(m t) (0, 1) for upper-triangular m, its divided difference through expm1
+    a, b, d = m[0, 0], m[0, 1], m[1, 1]
+    want = np.array([b * np.exp(a * t) * np.expm1((d - a) * t) / (d - a), np.exp(d * t)])
+    assert np.max(np.abs(got - want)) < 5e-8
+
+
+def test_fig5_generators_stay_on_the_eig_path(fitted_params):
+    # emit --preset fig5: the port-dressed chain, and the Bloch generator with
+    # the drive on and off at T1 of the dressed mode and T2 = 2 T1
+    H = build_hamiltonian(fitted_params, include_ports=True)
+    t1 = dressed_decay_time(fitted_params)
+    generators = [H.matrix] + [_bloch_generator(RAD_PER_NS_PER_MHZ * rabi, 0.0, t1, 2.0 * t1)
+                               for rabi in (25.0, 0.0)]
+    for m in generators:
+        assert np.linalg.cond(np.linalg.eig(m)[1]) < 10.0
 
 
 def _jordan_like(p=1):

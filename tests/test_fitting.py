@@ -18,6 +18,7 @@ from ricemele import (
     resonance_grid,
     s_matrix,
 )
+from ricemele.fitting import _prominent_maxima
 from ricemele.model import RAD_PER_NS_PER_MHZ, build_hamiltonian
 from ricemele.scattering import SpectrumMap
 
@@ -97,6 +98,11 @@ def test_extract_peaks_on_model_spectrum(fitted_params):
     values = np.array([abs(s_matrix(far, e, H=H).S_RL) for e in grid])
     peaks = extract_peaks(grid, values, 1e-3)
     assert len(peaks) == 19
+    # the numpy peak search picks the samples scipy's find_peaks picks
+    from scipy.signal import find_peaks
+
+    want, _ = find_peaks(values, prominence=1e-3)
+    np.testing.assert_array_equal(_prominent_maxima(values, 1e-3), want)
 
 
 def test_extract_peaks_validation():
@@ -105,6 +111,35 @@ def test_extract_peaks_validation():
     with pytest.raises(ParameterError):
         extract_peaks([0.0, 1.0, 2.0], [1.0, 2.0], 0.1)
     assert len(extract_peaks([0, 1, 2], [0.0, 0.0, 0.0], 0.1)) == 0
+    with pytest.raises(ParameterError):
+        extract_peaks([0.0, 1.0, 2.0], [0.0, np.nan, 0.0], 0.1)
+
+
+@pytest.mark.parametrize("y, prominence, want", [
+    ([3, 1, 2, 1, 3], 0.5, [2]),              # the end samples are higher, but not interior
+    ([0, 2, 2, 2, 2, 0], 1.0, [2]),           # an even plateau counts at its lower middle
+    ([0, 2, 2, 3, 0], 1.0, [3]),              # a plateau that rises again is no maximum
+    ([2, 2, 1, 0], 0.0, []),                  # nor is one that touches an end
+    ([0, 5, 1, 4, 0, 6, 0], 4.0, [1, 5]),     # 4 stands only 3 above its higher base, 1
+    ([0, 5, 1, 4, 0, 6, 0], 3.0, [1, 3, 5]),
+])
+def test_prominent_maxima_rule(y, prominence, want):
+    np.testing.assert_array_equal(_prominent_maxima(np.array(y, dtype=float), prominence), want)
+
+
+# values drawn from a few levels make plateaus, ties and maxima at the ends common
+_levels = st.lists(st.integers(0, 4).map(float), min_size=1, max_size=60)
+_floats = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60)
+
+
+@settings(max_examples=400, deadline=None)
+@given(y=st.one_of(_levels, _floats), prominence=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5]))
+def test_prominent_maxima_match_find_peaks(y, prominence):
+    from scipy.signal import find_peaks
+
+    y = np.array(y)
+    want, _ = find_peaks(y, prominence=prominence)
+    np.testing.assert_array_equal(_prominent_maxima(y, prominence), want)
 
 
 TRUTH = ModelParams(p=4, V=40.0, t1=230.0, t2=280.0, tQ=130.0, VQ=0.0, VM=590.0, f0=4600.0)

@@ -15,6 +15,7 @@ from ricemele import (
     demodulate_amplitude,
 )
 from ricemele.model import RAD_PER_NS_PER_MHZ
+from ricemele.sigproc import _lowpass_taps
 
 F_RABI = 25.0
 T_GRID = np.arange(0.0, 4000.0, 1.0)
@@ -57,6 +58,65 @@ def test_demodulation_validation():
     irregular = np.concatenate([T_GRID[:100], T_GRID[100:] + 0.3])
     with pytest.raises(ParameterError):
         demodulate_amplitude(irregular, _tone(F_RABI), F_RABI)
+    with pytest.raises(ParameterError):
+        demodulate_amplitude(T_GRID, _tone(F_RABI)[:-1], F_RABI)
+    for cutoff in (0.0, -3.0, 500.0):   # fs = 1000 MHz, so the cutoff must lie in (0, 500)
+        with pytest.raises(ParameterError):
+            demodulate_amplitude(T_GRID, _tone(F_RABI), F_RABI, lpf_cutoff=cutoff)
+
+
+def _filter_and_trapezoid(t, x, f_rabi, lpf_cutoff=6.0):
+    """The demodulator as first written: mix, pad by reflection, filter with
+    scipy's firwin taps through fftconvolve, integrate with np.trapezoid."""
+    from scipy.signal import fftconvolve, firwin
+
+    fs = 1e3 / (t[1] - t[0])
+    numtaps = len(_lowpass_taps(fs, lpf_cutoff))
+    taps = firwin(numtaps, lpf_cutoff, fs=fs)
+    mixed = np.asarray(x, dtype=complex) * np.sin(RAD_PER_NS_PER_MHZ * f_rabi * t)
+    dc = fftconvolve(np.pad(mixed, numtaps // 2, mode="reflect"), taps, mode="valid")
+    return float(abs(np.trapezoid(dc, t)) / (t[-1] - t[0]))
+
+
+@pytest.mark.parametrize("fs, cutoff", [(1000.0, 6.0), (2000.0, 6.0), (1000.0, 75.0),
+                                        (250.0, 3.3), (977.3, 41.2)])
+def test_lowpass_taps_match_firwin(fs, cutoff):
+    from scipy.signal import firwin
+
+    taps = _lowpass_taps(fs, cutoff)
+    assert len(taps) % 2 == 1
+    assert np.max(np.abs(taps - firwin(len(taps), cutoff, fs=fs))) <= 1e-15
+
+
+def test_weight_vector_matches_filter_and_trapezoid(rng):
+    x = _tone(F_RABI, amplitude=0.03) + 0.01 * (rng.normal(size=T_GRID.size)
+                                               + 1j * rng.normal(size=T_GRID.size))
+    want = _filter_and_trapezoid(T_GRID, x, F_RABI)
+    assert demodulate_amplitude(T_GRID, x, F_RABI) == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dt=st.sampled_from([1.0, 2.0, 2.5, 4.0]),
+    cutoff=st.floats(0.5, 40.0),
+    extra=st.integers(1, 1500),
+    f_frac=st.floats(0.0, 1.0),
+    phase=st.floats(0.0, 2 * np.pi),
+    seed=st.integers(0, 2**16),
+)
+def test_weight_vector_matches_filter_and_trapezoid_anywhere(dt, cutoff, extra, f_frac, phase, seed):
+    fs = 1e3 / dt
+    n = len(_lowpass_taps(fs, cutoff)) + extra
+    if n & (n - 1) == 0:   # keep the FFT oracle off the power-of-two lengths
+        n += 1
+    t = dt * np.arange(n)
+    # any Rabi frequency from 2.5 periods over the trace up to a quarter of fs
+    f_lo = 2.5e3 / (t[-1] - t[0])
+    f_rabi = f_lo + f_frac * (0.25 * fs - f_lo)
+    r = np.random.default_rng(seed)
+    x = np.sin(RAD_PER_NS_PER_MHZ * f_rabi * t + phase) + 0.1 * r.normal(size=n)
+    want = _filter_and_trapezoid(t, x, f_rabi, cutoff)
+    assert demodulate_amplitude(t, x, f_rabi, cutoff) == pytest.approx(want, rel=1e-12)
 
 
 def test_bloch_port_ratio_matches_weights():
@@ -115,6 +175,8 @@ def test_bootstrap_matches_sort_unique_resampling_bit_for_bit(seed):
 def test_bootstrap_validation():
     with pytest.raises(ParameterError):
         bootstrap_amplitude(T_GRID, _tone(F_RABI), F_RABI, n=50)
+    with pytest.raises(ParameterError):
+        bootstrap_amplitude(T_GRID, _tone(F_RABI)[:-1], F_RABI, n=100)
 
 
 def test_chi_estimate_reproduces_measured_quadruple():
@@ -170,14 +232,3 @@ def test_fidelity_increases_with_chi():
             for x in (0.5, 1.0, 3.0, 10.0, 100.0)]
     assert all(a < b for a, b in zip(chis, chis[1:]))
 
-
-def test_display_filter_passes_band_and_rejects_high():
-    from ricemele import display_filter
-
-    slow = _tone(20.0, amplitude=1.0)
-    fast = _tone(300.0, amplitude=1.0)
-    out = display_filter(T_GRID, slow + fast, cutoff=75.0)
-    # the 20 MHz component survives, the 300 MHz one is suppressed
-    mid = slice(200, -200)
-    residual = out[mid].real - slow[mid]
-    assert np.max(np.abs(residual)) < 0.02
