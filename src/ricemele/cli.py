@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     RiceMeleError,
 )
-from .model import ModelParams, build_hamiltonian, parse_config
+from .model import ModelParams, build_hamiltonian, parse_config, read_csv, read_text
 from .spectral import far_detuned_gap, sweep_qubit_energy, write_sweep_csv
 from .edge_states import directionality, edge_mode, working_points
 from .scattering import (
@@ -285,38 +285,33 @@ def cmd_emit(cfg: RunConfig, outdir: Path) -> list:
     return [lattice_path, bloch_path, summary_path]
 
 
+def _finite_fields(path, line: int, row: list, n: int, what: str) -> list:
+    """The first n fields of a CSV row as finite floats; DataFormatError
+    naming the file and line if there are fewer or one is not a finite number."""
+    try:
+        values = [float(x) for x in row[:n]]
+    except ValueError:
+        values = []
+    if len(values) < n:
+        raise DataFormatError(f"{path}: malformed {what} row {row}", line=line)
+    if not all(map(math.isfinite, values)):
+        raise DataFormatError(f"{path}: non-finite value in {what} row {row}", line=line)
+    return values
+
+
 def _read_peaks_csv(path) -> PeakSet:
-    peaks = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:3]] != ["flux_or_VQ", "frequency_MHz", "amplitude"]:
-            raise DataFormatError(f"{path}: expected header flux_or_VQ,frequency_MHz,amplitude", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                peaks.append(Peak(float(row[0]), float(row[1]), float(row[2])))
-            except (ValueError, IndexError):
-                raise DataFormatError(f"{path}: malformed peak row {row}", line=lineno) from None
+    header, rows = read_csv(path)
+    if header is None or [c.strip() for c in header[:3]] != ["flux_or_VQ", "frequency_MHz", "amplitude"]:
+        raise DataFormatError(f"{path}: expected header flux_or_VQ,frequency_MHz,amplitude", line=1)
+    peaks = [Peak(*_finite_fields(path, line, row, 3, "peak")) for line, row in rows]
     return PeakSet(peaks=peaks, source=str(path))
 
 
 def _read_gaps_csv(path) -> list:
-    gaps = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["VQ_MHz", "gap_MHz"]:
-            raise DataFormatError(f"{path}: expected header VQ_MHz,gap_MHz", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                gaps.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                raise DataFormatError(f"{path}: malformed gap row {row}", line=lineno) from None
-    return gaps
+    header, rows = read_csv(path)
+    if header is None or [c.strip() for c in header[:2]] != ["VQ_MHz", "gap_MHz"]:
+        raise DataFormatError(f"{path}: expected header VQ_MHz,gap_MHz", line=1)
+    return [tuple(_finite_fields(path, line, row, 2, "gap")) for line, row in rows]
 
 
 def cmd_fit(cfg: RunConfig, outdir: Path, peaks_path, gaps_path) -> list:
@@ -404,20 +399,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    raw = {}
-    if args.preset:
-        raw.update(PRESETS[args.preset])
-    if args.config:
-        try:
-            raw.update(parse_config(args.config.read_text()))
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 3
-    cfg = RunConfig(raw, seed=args.seed)
-
+    raw = dict(PRESETS[args.preset]) if args.preset else {}
     outdir = args.out
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
+        if args.config:
+            raw.update(parse_config(read_text(args.config), source=str(args.config)))
+        cfg = RunConfig(raw, seed=args.seed)
+        outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "spectrum":
             outputs = cmd_spectrum(cfg, outdir)
         elif args.command == "scatter":

@@ -15,8 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFoundError, NumericalError, ParameterError
-from .model import RAD_PER_NS_PER_MHZ, LabeledHamiltonian, ModelParams, build_hamiltonian
+from .errors import DataFormatError, NotFoundError, NumericalError, ParameterError
+from .model import (
+    RAD_PER_NS_PER_MHZ,
+    LabeledHamiltonian,
+    ModelParams,
+    build_hamiltonian,
+    read_csv,
+)
 from .spectral import BandGap, eigenmodes, far_detuned_gap, in_gap_indices
 
 # eigenvector matrices worse-conditioned than this are treated as defective:
@@ -301,34 +307,32 @@ def write_trace_csv(path, trace: TimeTrace) -> None:
 
 
 def read_trace_csv(path) -> TimeTrace:
-    """Read a TimeTrace written by write_trace_csv."""
-    from .errors import DataFormatError
+    """Read a TimeTrace written by write_trace_csv.
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    Malformed or non-finite data raise DataFormatError naming the file and line.
+    """
+    header, records = read_csv(path)
+    if header is None:
+        raise DataFormatError(f"{path}: empty trace file", line=1)
+    names = []
+    for col in header[1::2]:
+        if not col.endswith("_re"):
+            raise DataFormatError(f"{path}: malformed trace header {header}", line=1)
+        names.append(col[:-3])
+    width = 1 + 2 * len(names)
+    rows = []
+    for lineno, row in records:
+        if len(row) != width:
+            raise DataFormatError(f"{path}: wrong column count", line=lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty trace file", line=1) from None
-        names = []
-        for col in header[1::2]:
-            if not col.endswith("_re"):
-                raise DataFormatError(f"{path}: malformed trace header {header}", line=1)
-            names.append(col[:-3])
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError:
-                raise DataFormatError(f"{path}: malformed trace row {row}", line=lineno) from None
-            if len(row) != 1 + 2 * len(names):
-                raise DataFormatError(f"{path}: wrong column count", line=lineno)
-    t = np.array([r[0] for r in rows])
-    channels = {}
-    for j, name in enumerate(names):
-        re = np.array([r[1 + 2 * j] for r in rows])
-        im = np.array([r[2 + 2 * j] for r in rows])
-        channels[name] = re + 1j * im
+            rows.append([float(x) for x in row])
+        except ValueError:
+            raise DataFormatError(f"{path}: malformed trace row {row}", line=lineno) from None
+    table = np.array(rows).reshape(len(rows), width)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        lineno, row = records[bad[0]]
+        raise DataFormatError(f"{path}: non-finite value in trace row {row}", line=lineno)
+    t = table[:, 0]
+    channels = {name: table[:, 1 + 2 * j] + 1j * table[:, 2 + 2 * j] for j, name in enumerate(names)}
     return TimeTrace(t_grid=t, channels=channels)

@@ -15,6 +15,10 @@ Nelder-Mead and a bounded scalar search (_fit_once), which the tests also
 use as the oracle. Such rows exist: H(V) and H(-V) are mirror images, so
 every eigenvalue is even in V, V = 0 is stationary for every residual, and
 a resample that wanders there stalls.
+
+The module needs only numpy. The two fallbacks are step-for-step ports of
+scipy's Nelder-Mead and bounded Brent search (_nelder_mead, _bounded_brent)
+and return scipy's results bit for bit; the tests check them against scipy.
 """
 
 from __future__ import annotations
@@ -191,13 +195,25 @@ def extract_peaks(
 
 
 def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, vectors: bool = False):
-    """Thin LAPACK stev wrapper; much lower overhead than the scipy front end."""
-    from scipy.linalg import lapack
+    """Sorted eigenvalues, and with vectors=True the eigenvector columns, of
+    the symmetric tridiagonal matrix with diagonal d and off-diagonal e.
 
-    w, z, info = lapack.dstev(d, e, compute_v=int(vectors))
-    if info != 0:
-        raise NumericalError(f"tridiagonal eigensolver failed (info = {info})")
-    return (w, z) if vectors else w
+    numpy solves the dense block with LAPACK syevd. Its Householder reduction
+    leaves a tridiagonal matrix as it is and passes it to the solvers that
+    LAPACK dstev uses: sterf for the eigenvalues, so that with the same
+    LAPACK build they equal dstev's bit for bit, and steqr for the
+    eigenvectors up to dimension 25 (p <= 5). Larger blocks take divide and
+    conquer, which agrees to rounding. The sign of each eigenvector is arbitrary; the callers use
+    only its squares and the sign-invariant arrow spectra.
+    """
+    n = len(d)
+    h = np.zeros((n, n))
+    h.flat[::n + 1] = d
+    h.flat[1::n + 1] = h.flat[n::n + 1] = e
+    try:
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from None
 
 
 def waveguide_eigenvalues(params: ModelParams) -> np.ndarray:
@@ -453,6 +469,75 @@ def _tq_bound(initial: ModelParams, model: _GapModel) -> float:
     return max(4.0 * abs(initial.tQ), 100.0, 0.5 * (model.upper - model.lower))
 
 
+def _bounded_brent(f, lo: float, hi: float, xatol: float, maxiter: int = 500):
+    """Minimize f on [lo, hi] by golden-section search with parabolic steps.
+
+    A step-for-step port of scipy.optimize.minimize_scalar(f, bounds=(lo,
+    hi), method="bounded", options={"xatol": xatol, "maxiter": maxiter}),
+    Brent's fmin; returns its x and f(x).
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if np.abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r, e = e, rat
+            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx
+
+
 def _stage2_scalar(model: _GapModel, vqs, sizes, hi: float):
     """Bounded scalar search for tQ on [0, hi]; returns (tQ, sse).
 
@@ -469,15 +554,12 @@ def _stage2_scalar(model: _GapModel, vqs, sizes, hi: float):
         diff = sizes - model_sizes
         return float(diff @ diff)
 
-    from scipy.optimize import minimize_scalar
-
-    sol = minimize_scalar(gap_objective, bounds=(0.0, hi), method="bounded",
-                          options={"xatol": 1e-3})
-    if sol.fun >= _SENTINEL:
+    tq, sse = _bounded_brent(gap_objective, 0.0, hi, xatol=1e-3)
+    if sse >= _SENTINEL:
         raise NumericalError(
             f"no tQ in [0, {hi:.4g}] MHz gives two in-gap levels at every gap VQ"
         )
-    return float(sol.x), float(sol.fun)
+    return float(tq), float(sse)
 
 
 def _stage1_residuals(theta, free, base, pair_idx, pair_freq, fixed_f0):
@@ -498,8 +580,72 @@ def _stage1_residuals(theta, free, base, pair_idx, pair_freq, fixed_f0):
     return pair_freq - model - f0, f0
 
 
+def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int):
+    """Minimize f from x0 by the Nelder-Mead simplex; returns (x, fun, success).
+
+    A step-for-step port of scipy.optimize.minimize(f, x0,
+    method="Nelder-Mead", options={"xatol": xatol, "fatol": fatol,
+    "maxiter": maxiter}): the default initial simplex (coordinate k of
+    vertex k scaled by 1.05, or 0.00025 where it is 0), the standard
+    coefficients (reflect 1, expand 2, contract and shrink 1/2), no bounds
+    and no cap on evaluations. It succeeds when every vertex lies within
+    xatol of the best one in each coordinate and within fatol in value, and
+    fails after maxiter - 1 iterations.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    # sorted twice, as scipy does: argsort need not be stable, so ties can swap
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    iterations = 1
+    while iterations < maxiter:
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = 1.5 * xbar - 0.5 * sim[-1]
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = 0.5 * xbar + 0.5 * sim[-1]
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+            fsim[1:] = [f(x) for x in sim[1:]]
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    return sim[0], np.min(fsim), iterations < maxiter
+
+
 def _stage1_nelder_mead(x0, free, base, pair_idx, pair_freq, fixed_f0):
-    """Derivative-free stage-1 refit from x0 (scipy OptimizeResult)."""
+    """Derivative-free stage-1 refit from x0; returns (x, sse, success).
+
+    The objective is the profiled sum of squares, _SENTINEL where t1 or t2
+    is negative; _nelder_mead stops at xatol 1e-4 MHz, at a relative fatol
+    of 1e-7 of the starting value, or after 2000 iterations.
+    """
     def objective(theta):
         out = _stage1_residuals(theta, free, base, pair_idx, pair_freq, fixed_f0)
         if out is None:
@@ -507,11 +653,8 @@ def _stage1_nelder_mead(x0, free, base, pair_idx, pair_freq, fixed_f0):
         res, _ = out
         return float(res @ res)
 
-    from scipy.optimize import minimize
-
     fatol = max(1e-10, 1e-7 * (objective(x0) + 1.0))
-    return minimize(objective, x0, method="Nelder-Mead",
-                    options={"xatol": 1e-4, "fatol": fatol, "maxiter": 2000})
+    return _nelder_mead(objective, x0, xatol=1e-4, fatol=fatol, maxiter=2000)
 
 
 def _stage1_params(theta, free, base, pair_idx, pair_freq, fixed_f0):
@@ -556,11 +699,11 @@ def _fit_once(
     if free1:
         for trial in range(max(n_restarts, 1)):
             x0 = x0_base if trial == 0 else x0_base + 0.1 * scale * rng.standard_normal(len(free1))
-            sol = _stage1_nelder_mead(x0, free1, initial, pair_idx, pair_freq, fixed_f0)
-            if best is None or sol.fun < best.fun:
-                best = sol
-            converged = converged or bool(sol.success)
-        theta_best = np.atleast_1d(best.x)
+            x, fun, success = _stage1_nelder_mead(x0, free1, initial, pair_idx, pair_freq, fixed_f0)
+            if best is None or fun < best[1]:
+                best = (x, fun)
+            converged = converged or bool(success)
+        theta_best = best[0]
     else:
         theta_best = x0_base
         converged = True
@@ -632,8 +775,8 @@ def fit_hamiltonian(
         np.tile(pair_idx, (rows, 1)), np.tile(freq, (rows, 1)), fixed_f0,
     )
     for r in np.flatnonzero(~converged):
-        sol = _stage1_nelder_mead(starts[r, free_idx], free1, initial, pair_idx, freq, fixed_f0)
-        theta[r, free_idx], sse[r], converged[r] = sol.x, sol.fun, sol.success
+        theta[r, free_idx], sse[r], converged[r] = _stage1_nelder_mead(
+            starts[r, free_idx], free1, initial, pair_idx, freq, fixed_f0)
     best = theta[int(np.argmin(sse)), free_idx]
     params, sse = _stage1_params(best, free1, initial, pair_idx, freq, fixed_f0)
 

@@ -11,7 +11,10 @@ frequencies in MHz; time-domain code converts via RAD_PER_NS_PER_MHZ.
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -201,21 +204,54 @@ def params_to_config(params: ModelParams) -> str:
     return "".join(f"{k} = {values[k]}\n" for k in CONFIG_KEYS)
 
 
-def parse_config(text: str) -> dict:
-    """Parse flat 'key = value' lines into a string dict. '#' starts a comment."""
+def read_text(path) -> str:
+    """The contents of a UTF-8 data file.
+
+    A file that cannot be read, or a byte that is not UTF-8, raises
+    DataFormatError naming the file (and the line of that byte).
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: byte {exc.start} is not UTF-8",
+                              line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def read_csv(path):
+    """The first record of a UTF-8 CSV file (None if it is empty) and the
+    later non-empty records as (line number, fields) pairs."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}", line=reader.line_num) from None
+    return header, rows
+
+
+def parse_config(text: str, source: str = "") -> dict:
+    """Parse flat 'key = value' lines into a string dict. '#' starts a comment.
+
+    Errors name the line, and source (the file the text came from) if given.
+    """
+    where = f"{source}: " if source else ""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise DataFormatError(f"expected 'key = value', got {raw!r}", line=lineno)
+            raise DataFormatError(f"{where}expected 'key = value', got {raw!r}", line=lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not key or not value:
-            raise DataFormatError(f"empty key or value in {raw!r}", line=lineno)
+            raise DataFormatError(f"{where}empty key or value in {raw!r}", line=lineno)
         if key in out:
-            raise DataFormatError(f"duplicate key {key!r}", line=lineno)
+            raise DataFormatError(f"{where}duplicate key {key!r}", line=lineno)
         out[key] = value
     return out
 

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ricemele import ModelParams
+from ricemele import DataFormatError, ModelParams, ParameterError
 from ricemele.cli import main
 from ricemele.fitting import model_anticrossing_gap, model_peak_frequencies
 
@@ -265,3 +267,88 @@ def test_chi_command_from_port_traces(tmp_path):
     # amplitude ratios: sqrt(w_intended / w_opposite) = sqrt(1900) per side
     assert payload["chi"] == pytest.approx(np.sqrt(0.95 / 0.0005), rel=0.1)
     assert payload["s_stds"]["s_lL"] > 0.0
+
+
+# Bad input data is a data error (exit 3) that names the file and the line.
+
+FIT_INPUT_DEFECTS = [
+    # (file, contents, line): a non-finite row used to fit on, or to fail late
+    pytest.param("gaps", b"VQ_MHz,gap_MHz\n-20,40\n0,nan\n", 3, id="nan-gap"),
+    pytest.param("gaps", b"VQ_MHz,gap_MHz\n-20,inf\n", 2, id="inf-gap"),
+    pytest.param("peaks", b"flux_or_VQ,frequency_MHz,amplitude\n0,4400,1\n0,nan,1\n", 3,
+                 id="nan-peak"),
+    pytest.param("peaks", b"flux_or_VQ,frequency_MHz,amplitude\n0,4400\n", 2, id="short-peak"),
+    # bytes that are not UTF-8 used to escape as a UnicodeDecodeError
+    pytest.param("peaks", b"flux_or_VQ,frequency_MHz,amplitude\n0,4400,1\n0,\xff\xfe,1\n", 3,
+                 id="latin1-peaks"),
+    pytest.param("gaps", b"VQ_MHz,gap_MHz\n\xe9,1\n", 2, id="latin1-gaps"),
+    pytest.param("cfg", b"p = 2\nV = 30\nt1 = \xe9\n", 3, id="latin1-config"),
+    # a config syntax error used to escape as a traceback
+    pytest.param("cfg", b"p = 2\nV 30\n", 2, id="config-syntax"),
+    # csv's field size limit used to escape as csv.Error
+    pytest.param("gaps", b"VQ_MHz,gap_MHz\n0," + b"1" * 200_000 + b"\n", 2, id="huge-field"),
+]
+
+
+@pytest.mark.parametrize("which, contents, line", FIT_INPUT_DEFECTS)
+def test_fit_input_defects_are_data_errors(tmp_path, capsys, which, contents, line):
+    _, peaks, gaps, cfg = _write_fit_inputs(tmp_path)
+    bad = {"peaks": peaks, "gaps": gaps, "cfg": cfg}[which]
+    bad.write_bytes(contents)
+    out = tmp_path / "out"
+    rc = _run(["fit", "--config", cfg, "--peaks", peaks, "--gaps", gaps, "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert f"line {line}:" in err and bad.name in err
+    assert not (out / "fit.json").exists()
+
+
+def test_missing_input_file_is_a_data_error(tmp_path, capsys):
+    _, peaks, gaps, cfg = _write_fit_inputs(tmp_path)
+    rc = _run(["fit", "--config", cfg, "--peaks", tmp_path / "absent.csv", "--gaps", gaps,
+               "--out", tmp_path])
+    assert rc == 3
+    assert "absent.csv: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, line", [(b"8,nan,0\n", 4), (b"8,0.1,\xff\n", 4)],
+                         ids=["nan-sample", "latin1-sample"])
+def test_chi_trace_defects_are_data_errors(tmp_path, capsys, row, line):
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"t_ns,port_L_re,port_L_im\n0,0.5,0\n4,0.25,0\n" + row + b"12,0,0\n")
+    cfg = tmp_path / "chi.cfg"
+    cfg.write_text("rabi_freq = 25\nn_bootstrap = 100\ntrace_channel = port_L\n")
+    rc = _run(["chi", "--config", cfg, "--traces", trace, trace, trace, trace,
+               "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert f"line {line}:" in err and "trace.csv" in err
+
+
+_HEADERS = [b"", b"flux_or_VQ,frequency_MHz,amplitude\n", b"VQ_MHz,gap_MHz\n",
+            b"t_ns,port_L_re,port_L_im\n"]
+# pieces of almost-valid data files, so that the fuzzer reaches past the header
+_TOKENS = [b"0", b"-1.5", b"2e3", b"1e999", b"nan", b"inf", b"x", b",", b"\n", b"\r\n", b"\r",
+           b'"', b" ", b"=", b"#", b"_re", b"\x00", b"\xff", b"\xc3", b"\xe2\x82\xac"]
+_FUZZ_BYTES = st.one_of(
+    st.binary(max_size=300),
+    st.tuples(st.sampled_from(_HEADERS), st.lists(st.sampled_from(_TOKENS), max_size=80)).map(
+        lambda parts: parts[0] + b"".join(parts[1])),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_FUZZ_BYTES)
+def test_readers_raise_only_data_or_parameter_errors(tmp_path, data):
+    from ricemele.cli import _read_gaps_csv, _read_peaks_csv
+    from ricemele.dynamics import read_trace_csv
+    from ricemele.model import parse_config, read_text
+
+    path = tmp_path / "fuzzed.csv"
+    path.write_bytes(data)
+    for read in (_read_peaks_csv, _read_gaps_csv, read_trace_csv,
+                 lambda p: parse_config(read_text(p), source=str(p))):
+        try:
+            read(path)
+        except (DataFormatError, ParameterError):
+            pass

@@ -18,7 +18,7 @@ from ricemele import (
     resonance_grid,
     s_matrix,
 )
-from ricemele.fitting import _prominent_maxima
+from ricemele.fitting import _SENTINEL, _bounded_brent, _nelder_mead, _prominent_maxima
 from ricemele.model import RAD_PER_NS_PER_MHZ, build_hamiltonian
 from ricemele.scattering import SpectrumMap
 
@@ -461,3 +461,173 @@ def test_resample_without_a_valid_tq_is_a_failed_refit():
     with pytest.raises(NumericalError, match="two in-gap levels"):
         _fit_once(point, frozenset(), np.random.default_rng(0), 1,
                   peaks, freq[peaks], [obs.gaps[i] for i in picks])
+
+
+# The per-row fallbacks are numpy ports of scipy's Nelder-Mead and bounded
+# Brent search, and _tridiagonal_eigh replaces LAPACK dstev; each is checked
+# against the scipy routine it replaces.
+
+
+def _rippled_bowl(centre, curvature, wall=None):
+    """A quadratic bowl with ripples (several local minima); _SENTINEL where x[0] < wall."""
+    def f(x):
+        if wall is not None and x[0] < wall:
+            return _SENTINEL
+        d = x - centre
+        return float(d @ curvature @ d + 0.3 * np.sin(3.0 * x).sum())
+    return f
+
+
+def _assert_nelder_mead_matches_scipy(f, x0, fatol, maxiter):
+    from scipy.optimize import minimize
+
+    want = minimize(f, x0, method="Nelder-Mead",
+                    options={"xatol": 1e-4, "fatol": fatol, "maxiter": maxiter})
+    x, fun, success = _nelder_mead(f, x0, xatol=1e-4, fatol=fatol, maxiter=maxiter)
+    np.testing.assert_array_equal(x, want.x)
+    assert fun == want.fun
+    assert success == want.success
+    return want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    wall=st.booleans(),
+    zero_start=st.booleans(),
+    maxiter=st.sampled_from([3, 40, 2000]),
+    fatol=st.sampled_from([1e-10, 1e-4]),
+)
+def test_nelder_mead_matches_scipy_bit_for_bit(n, seed, wall, zero_start, maxiter, fatol):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    centre = rng.normal(0.0, 3.0, n)
+    f = _rippled_bowl(centre, a @ a.T + 0.1 * np.eye(n), centre[0] - 0.5 if wall else None)
+    x0 = rng.normal(0.0, 5.0, n)
+    if zero_start:
+        x0[-1] = 0.0   # the initial simplex steps a zero coordinate to 0.00025
+    _assert_nelder_mead_matches_scipy(f, x0, fatol, maxiter)
+
+
+def test_nelder_mead_stops_at_maxiter_like_scipy():
+    def rosenbrock(x):
+        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+    want = _assert_nelder_mead_matches_scipy(rosenbrock, np.array([-1.2, 1.0]), 1e-10, 50)
+    assert not want.success
+
+
+def test_nelder_mead_across_a_sentinel_wall():
+    # the minimum of the bowl lies behind the wall, so the simplex keeps hitting it
+    bowl = _rippled_bowl(np.array([0.0, 1.0]), np.eye(2), wall=0.5)
+    walls = []
+
+    def f(x):
+        value = bowl(x)
+        walls.append(value == _SENTINEL)
+        return value
+
+    want = _assert_nelder_mead_matches_scipy(f, np.array([3.0, -2.0]), 1e-10, 2000)
+    assert want.success
+    assert sum(walls) >= 10
+
+
+def test_stage1_nelder_mead_matches_scipy_on_the_fit_objective():
+    # a start at V = 0, where every residual is stationary in V
+    from ricemele.fitting import _stage1_nelder_mead, _stage1_residuals
+
+    obs = _synthetic(2.0, 3)
+    freq = np.sort(obs.peaks.frequencies())
+    idx = np.arange(19)
+    free = ["t1", "t2", "V", "VM"]
+
+    def objective(theta):
+        out = _stage1_residuals(theta, free, INITIAL, idx, freq, None)
+        return _SENTINEL if out is None else float(out[0] @ out[0])
+
+    x0 = np.array([INITIAL.t1, INITIAL.t2, 0.0, INITIAL.VM])
+    fatol = max(1e-10, 1e-7 * (objective(x0) + 1.0))
+    want = _assert_nelder_mead_matches_scipy(objective, x0, fatol, 2000)
+    x, sse, success = _stage1_nelder_mead(x0, free, INITIAL, idx, freq, None)
+    np.testing.assert_array_equal(x, want.x)
+    assert (sse, success) == (want.fun, want.success)
+
+
+def _scalar_objective(kind, lo, hi, centre):
+    mid = 0.5 * (lo + hi)
+    return {
+        "ripple": lambda x: (x - centre) ** 2 + 2.0 * np.cos(3.0 * x),
+        "rising": lambda x: x - lo,                      # minimum on the lower bound
+        "falling": lambda x: hi - x,                     # minimum on the upper bound
+        "sentinel": lambda x: _SENTINEL,                 # nothing valid in range
+        "half_wall": lambda x: _SENTINEL if x > mid else (x - centre) ** 2,
+    }[kind]
+
+
+def _assert_bounded_brent_matches_scipy(f, lo, hi, xatol, maxiter):
+    from scipy.optimize import minimize_scalar
+
+    want = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                           options={"xatol": xatol, "maxiter": maxiter})
+    x, fun = _bounded_brent(f, lo, hi, xatol=xatol, maxiter=maxiter)
+    assert x == want.x
+    assert fun == want.fun
+    return x, fun
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["ripple", "rising", "falling", "sentinel", "half_wall"]),
+    lo=st.floats(-50.0, 50.0),
+    width=st.floats(0.01, 500.0),
+    centre=st.floats(-100.0, 100.0),
+    xatol=st.sampled_from([1e-3, 1e-6]),
+    maxiter=st.sampled_from([4, 500]),
+)
+def test_bounded_brent_matches_scipy(kind, lo, width, centre, xatol, maxiter):
+    hi = lo + width
+    _assert_bounded_brent_matches_scipy(_scalar_objective(kind, lo, hi, centre), lo, hi,
+                                        xatol, maxiter)
+
+
+@pytest.mark.parametrize("kind, where", [("rising", 0.0), ("falling", 400.0)])
+def test_bounded_brent_finds_a_minimum_on_the_bound(kind, where):
+    x, _ = _assert_bounded_brent_matches_scipy(_scalar_objective(kind, 0.0, 400.0, 0.0),
+                                               0.0, 400.0, 1e-3, 500)
+    assert x == pytest.approx(where, abs=1e-3)
+
+
+def test_bounded_brent_on_an_all_sentinel_objective():
+    _, fun = _assert_bounded_brent_matches_scipy(lambda x: _SENTINEL, 0.0, 400.0, 1e-3, 500)
+    assert fun == _SENTINEL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 8),
+    t1=st.floats(20.0, 400.0),
+    t2=st.floats(20.0, 400.0),
+    v=st.floats(-100.0, 100.0),
+    vm=st.floats(-200.0, 800.0),
+)
+def test_tridiagonal_eigh_matches_dstev(p, t1, t2, v, vm):
+    from scipy.linalg import lapack
+
+    from ricemele.fitting import _tridiagonal_eigh
+    from ricemele.model import _waveguide_tridiagonal
+
+    d, e = _waveguide_tridiagonal(p, v, t1, t2, vm)
+    w_ref, z_ref, info = lapack.dstev(d, e, compute_v=1)
+    assert info == 0
+    scale = np.max(np.abs(w_ref))
+    w = _tridiagonal_eigh(d, e)
+    lam, z = _tridiagonal_eigh(d, e, vectors=True)
+    assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale
+    assert np.max(np.abs(lam - w_ref)) <= 1e-12 * scale
+    # each eigenvector up to its sign; rounding moves it by about eps |H| over
+    # the distance to the nearest other eigenvalue
+    spacing = np.diff(w_ref)
+    nearest = np.minimum(np.r_[np.inf, spacing], np.r_[spacing, np.inf])
+    aligned = z * np.where(np.sum(z * z_ref, axis=0) < 0, -1.0, 1.0)
+    assert np.all(np.max(np.abs(aligned - z_ref), axis=0) <= 1e-12 * scale / nearest + 1e-12)

@@ -1,9 +1,11 @@
-"""No module of the package imports scipy when it is loaded.
+"""No module of the package imports scipy when it is loaded, and no command needs it.
 
-scipy costs most of a cold command's import time, so the modules import it
-only inside the functions that need it, and only `fit` reaches one of them.
-The AST guard checks every module's load-time imports; the subprocess tests
-run the other commands with every scipy import made to fail.
+scipy costs most of a cold command's import time. Only `dynamics` still
+imports it, inside the near-defective `expm` fallback and
+`infer_port_self_energy`, which no command reaches. The AST guard checks
+every module's load-time imports; the subprocess tests run every command,
+`fit` through both of its per-row fallbacks, with every scipy import made
+to fail.
 """
 
 import ast
@@ -17,7 +19,8 @@ import pytest
 
 import ricemele
 from ricemele.dynamics import TimeTrace, write_trace_csv
-from ricemele.model import RAD_PER_NS_PER_MHZ
+from ricemele.fitting import model_anticrossing_gap, model_peak_frequencies
+from ricemele.model import RAD_PER_NS_PER_MHZ, ModelParams
 
 SRC = Path(ricemele.__file__).parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
@@ -111,3 +114,41 @@ def test_chi_from_traces_runs_without_scipy(tmp_path):
                                "--out", str(tmp_path / "chi")], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "chi" / "chi.json").is_file()
+
+
+def _write_fit_inputs(tmp_path):
+    """Noisy peaks and gaps of the fitted device: with seed 0, some bootstrap
+    rows take the Nelder-Mead refit and some the bounded tQ search."""
+    truth = ModelParams(p=4, V=40.0, t1=230.0, t2=280.0, tQ=130.0, VQ=0.0, VM=590.0, f0=4600.0)
+    rng = np.random.default_rng(0)
+    peaks = tmp_path / "peaks.csv"
+    peaks.write_text("flux_or_VQ,frequency_MHz,amplitude\n" + "".join(
+        f"0,{f:.6f},1\n" for f in model_peak_frequencies(truth) + rng.normal(0.0, 2.0, 19)))
+    gaps = tmp_path / "gaps.csv"
+    gaps.write_text("VQ_MHz,gap_MHz\n" + "".join(
+        f"{vq},{model_anticrossing_gap(truth, vq) + rng.normal(0.0, 2.0):.6f}\n"
+        for vq in (-20.0, 0.0, 17.6, 35.0, 55.0)))
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("p = 4\nV = 30\nt1 = 200\nt2 = 300\ntQ = 100\nVQ = 0\nVM = 550\n"
+                   "f0 = 4550\nn_bootstrap = 100\n")
+    return ["fit", "--config", str(cfg), "--peaks", str(peaks), "--gaps", str(gaps), "--seed", "0"]
+
+
+def test_fit_runs_without_scipy_through_both_fallbacks(tmp_path, monkeypatch):
+    import ricemele.fitting as fitting
+    from ricemele.cli import main
+
+    args = _write_fit_inputs(tmp_path)
+    calls = {"_stage1_nelder_mead": 0, "_stage2_scalar": 0}
+    for name in calls:
+        def counted(*a, _name=name, _real=getattr(fitting, name), **kw):
+            calls[_name] += 1
+            return _real(*a, **kw)
+        monkeypatch.setattr(fitting, name, counted)
+    assert main([*args, "--out", str(tmp_path / "with")]) == 0
+    assert calls["_stage1_nelder_mead"] >= 1 and calls["_stage2_scalar"] >= 1, calls
+
+    proc = _run_without_scipy([*args, "--out", str(tmp_path / "without")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    without = (tmp_path / "without" / "fit.json").read_bytes()
+    assert without == (tmp_path / "with" / "fit.json").read_bytes()
