@@ -7,8 +7,7 @@ in-gap mode of the fitted device at each working point."""
 import argparse
 import json
 
-import numpy as np
-
+# ricemele before numpy: it sets OpenBLAS to one thread before numpy loads
 from ricemele import (
     BlochParams,
     ModelParams,
@@ -21,6 +20,8 @@ from ricemele import (
     dressed_in_gap_mode,
     far_detuned_gap,
 )
+
+import numpy as np
 
 FITTED = ModelParams(p=4, V=40.0, t1=230.0, t2=280.0, tQ=130.0, VQ=-40.0, VM=590.0,
                      sigmaL=-18j, sigmaR=-18j)

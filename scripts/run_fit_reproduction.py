@@ -9,10 +9,11 @@ import json
 import pathlib
 import time
 
-import numpy as np
-
+# ricemele before numpy: it sets OpenBLAS to one thread before numpy loads
 from ricemele import FitObservations, ModelParams, bootstrap_fit
 from ricemele.fitting import Peak, PeakSet, model_anticrossing_gap, model_peak_frequencies
+
+import numpy as np
 
 TRUTH = ModelParams(p=4, V=40.0, t1=230.0, t2=280.0, tQ=130.0, VQ=0.0, VM=590.0, f0=4600.0)
 INITIAL = TRUTH.with_(t1=200.0, t2=300.0, V=30.0, VM=550.0, tQ=100.0, f0=4550.0)

@@ -1,6 +1,15 @@
 """Simulation and analysis toolkit for qubit-controlled directional edge states
 in a Rice-Mele photonic waveguide."""
 
+import os
+
+# Every matrix here is small (the fig1 chain is 44 x 44, the fit stacks
+# 20 x 20), below OpenBLAS's threading thresholds, so a second BLAS thread
+# only spins and burns a core. Pin one thread before the submodules load
+# numpy; a caller's OPENBLAS_NUM_THREADS wins, and a process that imported
+# numpy first keeps the threads it already has.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .errors import (

@@ -405,7 +405,11 @@ def main(argv=None) -> int:
         if args.config:
             raw.update(parse_config(read_text(args.config), source=str(args.config)))
         cfg = RunConfig(raw, seed=args.seed)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(
+                f"cannot create output directory {outdir}: {exc.strerror or exc}") from None
         if args.command == "spectrum":
             outputs = cmd_spectrum(cfg, outdir)
         elif args.command == "scatter":

@@ -237,10 +237,14 @@ def parse_config(text: str, source: str = "") -> dict:
     """Parse flat 'key = value' lines into a string dict. '#' starts a comment.
 
     Errors name the line, and source (the file the text came from) if given.
+    Lines end at LF (a CR just before it is dropped), so a reported line
+    exists in the file; str.splitlines would also break at form feeds, NEL,
+    U+2028 and the like.
     """
     where = f"{source}: " if source else ""
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

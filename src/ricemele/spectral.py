@@ -221,21 +221,25 @@ def three_site_surrogate(params: ModelParams) -> np.ndarray:
 
 
 def write_sweep_csv(path, sweep: QubitSweep) -> None:
-    """Long-form CSV: VQ_MHz, mode_index, re_E_MHz, im_E_MHz, weights, in_gap."""
+    """Long-form CSV: VQ_MHz, mode_index, re_E_MHz, im_E_MHz, weights, in_gap.
+
+    One format call per mode row, streamed one VQ point at a time, in
+    csv.writer's dialect (comma separated, CRLF line ends). The integer
+    columns go through %g as exact small floats, so they print as integers.
+    """
+    n_modes = sweep.eigenvalues.shape[1]
+    mode_index = np.arange(n_modes, dtype=float)
+    row_format = ",".join(["{:.10g}"] * 7) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        csv.writer(fh).writerow(
             ["VQ_MHz", "mode_index", "re_E_MHz", "im_E_MHz",
              "qubit_weight", "central_weight", "in_gap"]
         )
-        for i, vq in enumerate(sweep.vq_grid):
-            for k in range(sweep.eigenvalues.shape[1]):
-                e = sweep.eigenvalues[i, k]
-                writer.writerow(
-                    [
-                        f"{vq:.10g}", k, f"{e.real:.10g}", f"{e.imag:.10g}",
-                        f"{sweep.qubit_weight[i, k]:.10g}",
-                        f"{sweep.central_weight[i, k]:.10g}",
-                        int(sweep.in_gap[i, k]),
-                    ]
-                )
+        for i, vq in enumerate(np.asarray(sweep.vq_grid, dtype=float)):
+            e = sweep.eigenvalues[i]
+            block = np.column_stack([
+                np.full(n_modes, vq), mode_index, e.real, e.imag,
+                sweep.qubit_weight[i], sweep.central_weight[i], sweep.in_gap[i],
+            ])
+            for row in block:
+                fh.write(row_format.format(*row.tolist()))

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +65,39 @@ def test_non_finite_config_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert "usage error" in err and "Traceback" not in err
     assert not list((tmp_path / "out").glob("map_*.csv"))
+
+
+@pytest.mark.parametrize("blocker", [
+    "regular-file",
+    pytest.param("unwritable-dir", marks=pytest.mark.skipif(
+        os.geteuid() == 0, reason="root creates directories regardless of mode")),
+])
+def test_out_that_cannot_be_created_is_usage_error(tmp_path, capsys, blocker):
+    parent = tmp_path / blocker
+    if blocker == "regular-file":
+        parent.write_text("")
+    else:
+        parent.mkdir(mode=0o500)
+    out = parent / "sub"
+    rc = _run(["chi", "--preset", "appc", "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"usage error: cannot create output directory {out}" in err
+
+
+# characters str.splitlines breaks at although they end no line of the file
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029", "\r"])
+def test_config_errors_name_a_line_the_file_has(tmp_path, capsys, sep):
+    cfg = tmp_path / "run.cfg"
+    text = f"s_lL = 1{sep}s_lR = 2\r\nbad line\r\n"
+    cfg.write_bytes(text.encode("utf-8"))
+    rc = _run(["chi", "--config", cfg, "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    lines = [int(n) for n in re.findall(r"line (\d+):", err)]
+    assert lines == [2], err
+    assert "got 'bad line'" in err
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])

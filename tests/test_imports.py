@@ -1,4 +1,4 @@
-"""No module of the package imports scipy when it is loaded, and no command needs it.
+"""What importing the package costs: no scipy, and one OpenBLAS thread.
 
 scipy costs most of a cold command's import time. Only `dynamics` still
 imports it, inside the near-defective `expm` fallback and
@@ -6,6 +6,10 @@ imports it, inside the near-defective `expm` fallback and
 every module's load-time imports; the subprocess tests run every command,
 `fit` through both of its per-row fallbacks, with every scipy import made
 to fail.
+
+Importing `ricemele` before numpy leaves the process with one OpenBLAS
+thread unless the caller set OPENBLAS_NUM_THREADS; the subprocess tests
+check both cases in a fresh interpreter.
 """
 
 import ast
@@ -73,8 +77,9 @@ def test_module_imports_no_scipy_at_module_level(name):
     assert not found, f"{name} imports {found} at module level"
 
 
-def _run_python(code, args, cwd):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), *sys.path]))
+def _run_python(code, args, cwd, env=None):
+    env = dict(os.environ if env is None else env,
+               PYTHONPATH=os.pathsep.join([str(SRC.parent), *sys.path]))
     return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -152,3 +157,37 @@ def test_fit_runs_without_scipy_through_both_fallbacks(tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     without = (tmp_path / "without" / "fit.json").read_bytes()
     assert without == (tmp_path / "with" / "fit.json").read_bytes()
+
+
+# the variable and the process's thread count after a cold CLI import
+BLAS_THREADS = """
+import os
+import ricemele.cli
+print(os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task")))
+"""
+
+
+def _blas_threads(tmp_path, value):
+    """(OPENBLAS_NUM_THREADS, thread count) seen by a child whose caller set
+    the variable to value, or left it unset for None. This process carries
+    the variable once it has imported ricemele, so the child's environment
+    is built without it."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    proc = _run_python(BLAS_THREADS, [], tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    setting, threads = proc.stdout.split()
+    return setting, int(threads)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_cli_import_runs_one_blas_thread_by_default(tmp_path):
+    setting, threads = _blas_threads(tmp_path, None)
+    assert threads == 1
+    assert setting == "1"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_caller_blas_thread_setting_wins(tmp_path):
+    assert _blas_threads(tmp_path, "2")[0] == "2"

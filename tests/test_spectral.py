@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from ricemele import (
     three_site_surrogate,
 )
 from ricemele.model import LabeledHamiltonian, SiteRoles
-from ricemele.spectral import ModeSet, write_sweep_csv
+from ricemele.spectral import ModeSet, QubitSweep, write_sweep_csv
 
 
 def _toy_hamiltonian(matrix, hermitian=True):
@@ -238,3 +240,36 @@ def test_sweep_csv_format(tmp_path, fig1_params):
     assert len(lines) == 1 + 3 * 44
     in_gap_rows = [l for l in lines[1:] if l.startswith("-37.5,") and l.endswith(",1")]
     assert len(in_gap_rows) == 2
+
+
+def _csv_writer_sweep(path, sweep):
+    """The csv.writer loop write_sweep_csv replaced, kept as its byte oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["VQ_MHz", "mode_index", "re_E_MHz", "im_E_MHz",
+                         "qubit_weight", "central_weight", "in_gap"])
+        for i, vq in enumerate(sweep.vq_grid):
+            for k in range(sweep.eigenvalues.shape[1]):
+                e = sweep.eigenvalues[i, k]
+                writer.writerow([f"{vq:.10g}", k, f"{e.real:.10g}", f"{e.imag:.10g}",
+                                 f"{sweep.qubit_weight[i, k]:.10g}",
+                                 f"{sweep.central_weight[i, k]:.10g}",
+                                 int(sweep.in_gap[i, k])])
+
+
+def test_sweep_csv_bytes_match_the_csv_writer_loop(tmp_path, fig1_params, rng):
+    real = sweep_qubit_energy(fig1_params, np.linspace(-150.0, 150.0, 13))
+    shape = (5, 12)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1.5e300, 123456789012.5])
+    values = rng.choice(np.concatenate([special, rng.normal(0.0, 1e3, 8)]), size=(5,) + shape)
+    eigenvalues = values[1].astype(complex)
+    eigenvalues.imag = values[2]
+    odd = QubitSweep(
+        vq_grid=values[0][:, 0], eigenvalues=eigenvalues,
+        qubit_weight=values[3], central_weight=values[4],
+        in_gap=rng.random(shape) < 0.5, gap=real.gap,
+    )
+    for sweep in (real, odd):
+        write_sweep_csv(tmp_path / "new.csv", sweep)
+        _csv_writer_sweep(tmp_path / "old.csv", sweep)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
