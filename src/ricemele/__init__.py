@@ -10,81 +10,42 @@ import os
 # numpy first keeps the threads it already has.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .errors import (
-    DataFormatError,
-    InsufficientModesError,
-    NotFoundError,
-    NumericalError,
-    ParameterError,
-    RiceMeleError,
-)
-from .model import (
-    RAD_PER_NS_PER_MHZ,
-    LabeledHamiltonian,
-    ModelParams,
-    SiteRoles,
-    build_hamiltonian,
-    params_from_config,
-    params_to_config,
-    site_roles,
-)
-from .spectral import (
-    BandGap,
-    ModeSet,
-    QubitSweep,
-    band_gap,
-    eigenmodes,
-    far_detuned_gap,
-    in_gap_indices,
-    qubit_coupling_flags,
-    sweep_qubit_energy,
-    three_site_surrogate,
-)
-from .edge_states import (
-    DirectionalityReport,
-    bidirectional_point,
-    directionality,
-    working_points,
-)
-from .scattering import (
-    SMatrixPoint,
-    SpectrumMap,
-    greens_function,
-    ldos,
-    resonance_grid,
-    s_matrix,
-    transmission_map,
-)
-from .dynamics import (
-    BlochParams,
-    TimeTrace,
-    bloch_rabi_trace,
-    decay_time,
-    dressed_decay_time,
-    dressed_in_gap_mode,
-    evolve_single_excitation,
-    infer_port_self_energy,
-    integrated_port_emission,
-    ramsey_trace,
-)
-from .fitting import (
-    FitObservations,
-    FitResult,
-    Peak,
-    PeakSet,
-    bootstrap_fit,
-    extract_peaks,
-    fit_hamiltonian,
-    median_background_subtract,
-    model_anticrossing_gap,
-    model_peak_frequencies,
-)
-from .sigproc import (
-    ChiEstimate,
-    SignalAmplitudes,
-    bootstrap_amplitude,
-    chi_estimate,
-    demodulate_amplitude,
-)
+# The public names by submodule. A name loads its submodule on first use, so
+# a command loads (and, without a bytecode cache, compiles) only what it runs.
+_EXPORTS = {
+    "errors": """DataFormatError InsufficientModesError NotFoundError NumericalError
+        ParameterError RiceMeleError""",
+    "model": """RAD_PER_NS_PER_MHZ LabeledHamiltonian ModelParams SiteRoles
+        build_hamiltonian params_from_config params_to_config site_roles""",
+    "spectral": """BandGap ModeSet QubitSweep band_gap eigenmodes far_detuned_gap
+        in_gap_indices qubit_coupling_flags sweep_qubit_energy three_site_surrogate""",
+    "edge_states": "DirectionalityReport bidirectional_point directionality working_points",
+    "scattering": """SMatrixPoint SpectrumMap greens_function ldos resonance_grid
+        s_matrix transmission_map""",
+    "dynamics": """BlochParams TimeTrace bloch_rabi_trace decay_time dressed_decay_time
+        dressed_in_gap_mode evolve_single_excitation infer_port_self_energy
+        integrated_port_emission ramsey_trace""",
+    "fitting": """FitObservations FitResult Peak PeakSet bootstrap_fit extract_peaks
+        fit_hamiltonian median_background_subtract model_anticrossing_gap
+        model_peak_frequencies""",
+    "sigproc": """ChiEstimate SignalAmplitudes bootstrap_amplitude chi_estimate
+        demodulate_amplitude""",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -28,27 +28,6 @@ from .errors import (
     RiceMeleError,
 )
 from .model import ModelParams, build_hamiltonian, parse_config, read_csv, read_text
-from .spectral import far_detuned_gap, sweep_qubit_energy, write_sweep_csv
-from .edge_states import directionality, edge_mode, working_points
-from .scattering import (
-    MAP_KINDS,
-    resonance_grid,
-    transmission_map,
-    write_map_csv,
-    write_map_header_json,
-)
-from .dynamics import (
-    BlochParams,
-    bloch_rabi_trace,
-    decay_time,
-    dressed_in_gap_mode,
-    evolve_single_excitation,
-    integrated_port_emission,
-    write_trace_csv,
-    read_trace_csv,
-)
-from .fitting import FitObservations, Peak, PeakSet, bootstrap_fit, extract_peaks
-from .sigproc import SignalAmplitudes, bootstrap_amplitude, chi_estimate
 
 PRESETS = {
     # ideal chain: two in-gap states, unidirectional at VQ = -V and +V
@@ -167,6 +146,9 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs: list) -
 
 def cmd_spectrum(cfg: RunConfig, outdir: Path) -> list:
     """Eigenvalue sweep CSV, edge-state population CSV, directionality JSON."""
+    from .edge_states import edge_mode, working_points
+    from .spectral import sweep_qubit_energy, write_sweep_csv
+
     params = cfg.model()
     vq_grid = cfg.grid("VQ")
     sweep = sweep_qubit_energy(params, vq_grid)
@@ -202,6 +184,11 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path) -> list:
 
 def cmd_scatter(cfg: RunConfig, outdir: Path) -> list:
     """Transmission/LDOS maps plus a far-detuned peak report."""
+    from .fitting import extract_peaks
+    from .scattering import (
+        MAP_KINDS, resonance_grid, transmission_map, write_map_csv, write_map_header_json,
+    )
+
     params = cfg.model()
     vq_grid = cfg.grid("VQ")
     far = params.far_detuned()
@@ -240,6 +227,13 @@ def cmd_scatter(cfg: RunConfig, outdir: Path) -> list:
 
 def cmd_emit(cfg: RunConfig, outdir: Path) -> list:
     """Single-excitation lattice emission plus a Bloch-model Rabi trace."""
+    from .dynamics import (
+        BlochParams, bloch_rabi_trace, decay_time, dressed_in_gap_mode,
+        evolve_single_excitation, integrated_port_emission, write_trace_csv,
+    )
+    from .edge_states import directionality
+    from .spectral import far_detuned_gap
+
     params = cfg.model()
     t_grid = np.linspace(0.0, cfg.number("t_stop", 1500.0), cfg.integer("t_points", 3001))
 
@@ -300,6 +294,8 @@ def _finite_fields(path, line: int, row: list, n: int, what: str) -> list:
 
 
 def _read_peaks_csv(path) -> PeakSet:
+    from .fitting import Peak, PeakSet
+
     header, rows = read_csv(path)
     if header is None or [c.strip() for c in header[:3]] != ["flux_or_VQ", "frequency_MHz", "amplitude"]:
         raise DataFormatError(f"{path}: expected header flux_or_VQ,frequency_MHz,amplitude", line=1)
@@ -316,6 +312,8 @@ def _read_gaps_csv(path) -> list:
 
 def cmd_fit(cfg: RunConfig, outdir: Path, peaks_path, gaps_path) -> list:
     """Two-stage fit with bootstrap intervals from observation CSVs."""
+    from .fitting import FitObservations, bootstrap_fit
+
     if peaks_path is None:
         raise ParameterError("fit requires --peaks CSV")
     peaks = _read_peaks_csv(peaks_path)
@@ -341,26 +339,41 @@ def cmd_fit(cfg: RunConfig, outdir: Path, peaks_path, gaps_path) -> list:
 
 
 def cmd_chi(cfg: RunConfig, outdir: Path, trace_paths) -> list:
-    """Directionality estimate from amplitudes or from four port traces."""
-    stds = {}
+    """Directionality estimate from amplitudes or from four port traces.
+
+    Traces on one time grid share one bootstrap call and so its resamples;
+    separate calls would draw the same ones, from the same seed.
+    """
+    from .sigproc import SignalAmplitudes, bootstrap_amplitude, chi_estimate
+
     if trace_paths:
+        from .dynamics import read_trace_csv
+
         if len(trace_paths) != 4:
             raise ParameterError("--traces needs exactly 4 files: lL lR rL rR")
         f_rabi = cfg.number("rabi_freq")
         n = cfg.integer("n_bootstrap", 1000)
-        values = {}
-        for label, path in zip(("lL", "lR", "rL", "rR"), trace_paths):
+        labels = ("lL", "lR", "rL", "rR")
+        traces = {}
+        for label, path in zip(labels, trace_paths):
             trace = read_trace_csv(path)
             name = cfg.text("trace_channel", "port_L" if label.endswith("L") else "port_R")
-            mean, std = bootstrap_amplitude(
-                trace.t_grid, trace.channel(name), f_rabi, n=n, seed=cfg.seed,
-            )
-            values[f"s_{label}"] = mean
-            stds[f"std_{label}"] = std
+            if name not in trace.channels:
+                raise DataFormatError(
+                    f"{path}: no trace channel {name!r}; the file holds {sorted(trace.channels)}")
+            traces[label] = (trace.t_grid, trace.channel(name))
+        amplitude = {}
+        for t, _ in traces.values():
+            group = [label for label, (u, _) in traces.items()
+                     if label not in amplitude and np.array_equal(u, t)]
+            if group:
+                means, stds = bootstrap_amplitude(
+                    t, np.stack([traces[label][1] for label in group]), f_rabi,
+                    n=n, seed=cfg.seed)
+                amplitude.update(zip(group, zip(means.tolist(), stds.tolist())))
         amps = SignalAmplitudes(
-            s_lL=values["s_lL"], s_lR=values["s_lR"],
-            s_rL=values["s_rL"], s_rR=values["s_rR"],
-            **stds,
+            **{f"s_{label}": amplitude[label][0] for label in labels},
+            **{f"std_{label}": amplitude[label][1] for label in labels},
         )
     else:
         amps = SignalAmplitudes(

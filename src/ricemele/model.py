@@ -29,6 +29,22 @@ CONFIG_KEYS = (
 )
 
 
+def median(values) -> np.float64:
+    """np.median of a non-empty 1-D array, bit for bit: the mean of the middle
+    one or two sorted values, or NaN if there is one. np.median's own NaN check
+    imports numpy.ma on its first call, about 10 ms of a cold command."""
+    s = np.sort(values)
+    return s[-1] if np.isnan(s[-1]) else np.mean(s[(s.size - 1) // 2: s.size // 2 + 1])
+
+
+def unique(values) -> np.ndarray:
+    """np.unique of a non-empty NaN-free array, bit for bit: its sorted values
+    with each run of equal ones kept once, without the numpy.ma import of
+    np.unique's first call."""
+    s = np.sort(values, axis=None)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Hamiltonian and port parameters, all in MHz except the integer p.

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import LabeledHamiltonian, ModelParams, build_hamiltonian
+from .model import LabeledHamiltonian, ModelParams, build_hamiltonian, unique
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,10 @@ def resonance_grid(params: ModelParams, n_points: int, pad: float = 50.0) -> np.
     for e in evals:
         w = max(abs(e.imag), 1e-6)
         pieces.append(e.real + np.linspace(-8 * w, 8 * w, per_mode))
-    grid = np.unique(np.concatenate(pieces))
+    grid = unique(np.concatenate(pieces))
     if len(grid) > n_points:
         keep = np.linspace(0, len(grid) - 1, n_points).round().astype(int)
-        grid = grid[np.unique(keep)]
+        grid = grid[unique(keep)]
     return grid
 
 

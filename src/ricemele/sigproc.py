@@ -132,7 +132,7 @@ def _demodulation_weights(t: np.ndarray, f_rabi: float, lpf_cutoff: float):
 def _trace(t_ns, samples):
     t = np.asarray(t_ns, dtype=float)
     x = np.asarray(samples, dtype=complex)
-    if t.size != x.size:
+    if x.shape[-1:] != (t.size,):
         raise ParameterError("time grid and samples must have equal length")
     return t, x
 
@@ -158,13 +158,17 @@ def bootstrap_amplitude(
     n: int = 10000,
     lpf_cutoff: float = 6.0,
     seed: int = 0,
-) -> tuple[float, float]:
+):
     """Bootstrap mean and std of the demodulated amplitude.
 
     Each resample draws time points with replacement, rebuilds a signal on
     the original grid by nearest-sample interpolation, and demodulates it.
     The grid does not change between resamples, so one weight vector serves
     them all and each resample costs a gather and a dot product.
+
+    samples of shape (N,) give the two floats; a (channels, N) stack gives
+    two arrays with one entry per channel. Every channel sees the same
+    resamples, and each entry equals the 1-D call on that channel bit for bit.
     """
     if n < 100:
         raise ParameterError(f"need at least 100 bootstrap samples, got {n}")
@@ -172,14 +176,18 @@ def bootstrap_amplitude(
     w, duration = _demodulation_weights(t, f_rabi, lpf_cutoff)
     rng = np.random.default_rng(seed)
 
-    amplitudes = np.empty(n)
+    rows = x.reshape(-1, t.size)
+    amplitudes = np.empty((len(rows), n))
     npts = t.size
     for i in range(n):
         uniq = np.flatnonzero(np.bincount(rng.integers(0, npts, npts), minlength=npts))
         centres = 0.5 * (t[uniq][1:] + t[uniq][:-1])
         nearest = uniq[np.searchsorted(centres, t)]
-        amplitudes[i] = abs(x[nearest] @ w) / duration
-    return float(np.mean(amplitudes)), float(np.std(amplitudes))
+        for row, out in zip(rows, amplitudes):
+            out[i] = abs(row[nearest] @ w) / duration
+    if x.ndim == 1:
+        return float(np.mean(amplitudes[0])), float(np.std(amplitudes[0]))
+    return np.array([np.mean(a) for a in amplitudes]), np.array([np.std(a) for a in amplitudes])
 
 
 def chi_estimate(amps: SignalAmplitudes) -> ChiEstimate:

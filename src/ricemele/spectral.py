@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientModesError, NumericalError, ParameterError
-from .model import LabeledHamiltonian, ModelParams, SiteRoles, build_hamiltonian, site_roles
+from .model import (
+    LabeledHamiltonian, ModelParams, SiteRoles, build_hamiltonian, median, site_roles,
+)
 
 # a candidate band mode must keep qubit and central weight below this
 WEIGHT_EXCLUDE = 0.5
@@ -100,7 +102,7 @@ def participation(prob: np.ndarray):
     """Participation ratio of each column of prob = |psi|^2, and whether it
     falls below LOCALIZED_PR_FRACTION of the median (a localized mode)."""
     pr = 1.0 / np.sum(prob**2, axis=0)
-    return pr, pr < LOCALIZED_PR_FRACTION * np.median(pr)
+    return pr, pr < LOCALIZED_PR_FRACTION * median(pr)
 
 
 def band_gap(modes: ModeSet, params: ModelParams) -> BandGap:
@@ -138,7 +140,7 @@ def locate_gap(energies, dominant_weight, localized, params: ModelParams) -> Ban
     widest = np.flatnonzero(eligible)[np.argmax(spacings[eligible])]
     lower, upper = float(band[widest]), float(band[widest + 1])
 
-    degenerate = (upper - lower) < DEGENERATE_SPACING_FACTOR * float(np.median(spacings))
+    degenerate = (upper - lower) < DEGENERATE_SPACING_FACTOR * float(median(spacings))
     inside = np.flatnonzero((energies > lower) & (energies < upper))
     return BandGap(
         lower=lower,

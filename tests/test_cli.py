@@ -304,6 +304,70 @@ def test_chi_command_from_port_traces(tmp_path):
     assert payload["s_stds"]["s_lL"] > 0.0
 
 
+def _write_port_traces(tmp_path, grids):
+    """One noisy 25 MHz port trace per label on the given time grids, with
+    the channel the chi command reads by default."""
+    from ricemele.dynamics import TimeTrace, write_trace_csv
+
+    rng = np.random.default_rng(5)
+    paths = []
+    for label, amplitude, t in zip(("lL", "lR", "rL", "rR"), (1.0, 0.05, 0.04, 0.5), grids):
+        x = amplitude * np.sin(2e-3 * np.pi * 25.0 * t) + 0.01 * rng.normal(size=t.size)
+        path = tmp_path / f"trace_{label}.csv"
+        channel = "port_L" if label.endswith("L") else "port_R"
+        write_trace_csv(path, TimeTrace(t_grid=t, channels={channel: x.astype(complex)}))
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("odd_grid", [4.0 * np.arange(500), 2.0 + 4.0 * np.arange(600)],
+                         ids=["shorter", "shifted-t0"])
+def test_chi_traces_on_two_grids_match_one_call_per_trace(tmp_path, monkeypatch, odd_grid):
+    import ricemele.sigproc as sigproc
+    from ricemele.dynamics import read_trace_csv
+
+    grid = 4.0 * np.arange(600)
+    paths = _write_port_traces(tmp_path, [grid, grid, odd_grid, grid])
+    calls = []
+    real = sigproc.bootstrap_amplitude
+
+    def counted(t, samples, *args, **kwargs):
+        calls.append(np.shape(samples))
+        return real(t, samples, *args, **kwargs)
+
+    monkeypatch.setattr(sigproc, "bootstrap_amplitude", counted)
+    cfg = tmp_path / "chi.cfg"
+    cfg.write_text("rabi_freq = 25\nn_bootstrap = 100\n")
+    assert _run(["chi", "--config", cfg, "--traces", *paths, "--seed", 3, "--out", tmp_path]) == 0
+    assert sorted(calls) == [(1, odd_grid.size), (3, grid.size)]
+
+    payload = json.loads((tmp_path / "chi.json").read_text())
+    for path, label in zip(paths, ("lL", "lR", "rL", "rR")):
+        trace = read_trace_csv(path)
+        (samples,) = trace.channels.values()
+        mean, std = real(trace.t_grid, samples, 25.0, n=100, seed=3)
+        assert (payload["s_values"][f"s_{label}"], payload["s_stds"][f"s_{label}"]) == (mean, std)
+
+
+@pytest.mark.parametrize("config, header_channel, asked", [
+    ("trace_channel = nope\n", "port_L", "nope"),
+    ("", "sig", "port_L"),
+], ids=["config-channel", "file-channel"])
+def test_chi_missing_trace_channel_is_a_data_error(tmp_path, capsys, config, header_channel, asked):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"t_ns,{header_channel}_re,{header_channel}_im\n"
+                     + "".join(f"{4 * k},{np.sin(0.2 * np.pi * k):.6f},0\n" for k in range(600)))
+    cfg = tmp_path / "chi.cfg"
+    cfg.write_text("rabi_freq = 25\nn_bootstrap = 100\n" + config)
+    out = tmp_path / "out"
+    rc = _run(["chi", "--config", cfg, "--traces", trace, trace, trace, trace, "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("data error:")
+    assert "trace.csv" in err and repr(asked) in err and repr([header_channel]) in err
+    assert not (out / "chi.json").exists()
+
+
 # Bad input data is a data error (exit 3) that names the file and the line.
 
 FIT_INPUT_DEFECTS = [

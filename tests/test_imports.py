@@ -1,4 +1,5 @@
-"""What importing the package costs: no scipy, and one OpenBLAS thread.
+"""What importing the package costs: no scipy, only the submodules a command
+runs, no numpy.ma outside `fit`, and one OpenBLAS thread.
 
 scipy costs most of a cold command's import time. Only `dynamics` still
 imports it, inside the near-defective `expm` fallback and
@@ -6,6 +7,10 @@ imports it, inside the near-defective `expm` fallback and
 every module's load-time imports; the subprocess tests run every command,
 `fit` through both of its per-row fallbacks, with every scipy import made
 to fail.
+
+Importing `ricemele.cli` loads `errors` and `model` only; each command loads
+the submodules it calls, and every command but `fit` runs with numpy.ma
+blocked (np.median and np.unique import it on first use).
 
 Importing `ricemele` before numpy leaves the process with one OpenBLAS
 thread unless the caller set OPENBLAS_NUM_THREADS; the subprocess tests
@@ -29,21 +34,38 @@ from ricemele.model import RAD_PER_NS_PER_MHZ, ModelParams
 SRC = Path(ricemele.__file__).parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
-# a meta path finder in front of the others that refuses any scipy module
-NO_SCIPY = """
+
+def _blocker(package):
+    """Source of a meta path finder, put in front of the others, that
+    refuses package and every module in it."""
+    return f"""
 import sys
 
 
-class NoScipy:
+class Blocker:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ImportError(f"scipy is blocked: {name}")
+        if name == {package!r} or name.startswith({package + "."!r}):
+            raise ImportError(f"{package} is blocked: {{name}}")
         return None
 
 
-sys.meta_path.insert(0, NoScipy())
+sys.meta_path.insert(0, Blocker())
 """
+
+
+NO_SCIPY = _blocker("scipy")
 NO_SCIPY_CLI = NO_SCIPY + "from ricemele.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+# np.median and np.unique import numpy.ma on their first call
+NO_NUMPY_MA = _blocker("numpy.ma")
+
+# import the CLI, run it on the arguments if there are any, then list the
+# ricemele submodules the process loaded
+LOADED = NO_NUMPY_MA + """
+import ricemele.cli
+code = ricemele.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print("loaded", code, *sorted(m for m in sys.modules if m.startswith("ricemele.")))
+"""
 
 
 def _import_time_modules(tree):
@@ -103,7 +125,7 @@ def test_preset_runs_without_scipy(tmp_path, command, preset):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_chi_from_traces_runs_without_scipy(tmp_path):
+def _write_chi_inputs(tmp_path):
     rng = np.random.default_rng(0)
     t = 4.0 * np.arange(600)
     paths = []
@@ -115,8 +137,12 @@ def test_chi_from_traces_runs_without_scipy(tmp_path):
         paths.append(str(path))
     cfg = tmp_path / "chi.cfg"
     cfg.write_text("rabi_freq = 25\nn_bootstrap = 100\n")
-    proc = _run_without_scipy(["chi", "--config", str(cfg), "--traces", *paths,
-                               "--out", str(tmp_path / "chi")], tmp_path)
+    return ["chi", "--config", str(cfg), "--traces", *paths]
+
+
+def test_chi_from_traces_runs_without_scipy(tmp_path):
+    proc = _run_without_scipy([*_write_chi_inputs(tmp_path), "--out", str(tmp_path / "chi")],
+                              tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "chi" / "chi.json").is_file()
 
@@ -157,6 +183,54 @@ def test_fit_runs_without_scipy_through_both_fallbacks(tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     without = (tmp_path / "without" / "fit.json").read_bytes()
     assert without == (tmp_path / "with" / "fit.json").read_bytes()
+
+
+def test_numpy_ma_blocker_stops_its_import(tmp_path):
+    proc = _run_python(NO_NUMPY_MA + "import numpy as np\nnp.median([1.0, 2.0])\n", [], tmp_path)
+    assert proc.returncode != 0
+    assert "numpy.ma is blocked: numpy.ma" in proc.stderr
+
+
+def _loaded(args, cwd):
+    """The ricemele submodules a fresh interpreter loaded to import the CLI
+    and run it on args, with numpy.ma blocked; the command must succeed."""
+    proc = _run_python(LOADED, [*args, *(["--out", str(cwd / "out")] if args else [])], cwd)
+    assert proc.returncode == 0, proc.stderr
+    word, code, *modules = proc.stdout.splitlines()[-1].split()
+    assert (word, code) == ("loaded", "0"), proc.stdout
+    return {m.removeprefix("ricemele.") for m in modules}
+
+
+def test_cli_import_loads_only_errors_and_model(tmp_path):
+    assert _loaded([], tmp_path) == {"cli", "errors", "model"}
+
+
+# every command but fit, and the submodules it must not load
+@pytest.mark.parametrize("args, unused", [
+    (["spectrum", "--preset", "fig1"], {"fitting", "scattering", "dynamics", "sigproc"}),
+    (["emit", "--preset", "fig5"], {"fitting", "scattering", "sigproc"}),
+    (["scatter", "--preset", "fig3"], {"dynamics", "edge_states", "sigproc"}),
+    (["scatter", "--preset", "fig4"], {"dynamics", "edge_states", "sigproc"}),
+    (["chi", "--preset", "appc"], {"fitting", "scattering"}),
+    ("traces", {"fitting", "scattering"}),
+], ids=["spectrum", "emit", "scatter-fig3", "scatter-fig4", "chi-appc", "chi-traces"])
+def test_command_loads_only_its_modules_and_no_numpy_ma(tmp_path, args, unused):
+    if args == "traces":
+        args = _write_chi_inputs(tmp_path)
+    loaded = _loaded(args, tmp_path)
+    assert not loaded & unused, loaded
+
+
+def test_every_exported_name_resolves_and_is_listed(tmp_path):
+    code = ("import ricemele\n"
+            "names = ricemele.__all__\n"
+            "print(len(names), len(set(names)), all(getattr(ricemele, n) is not None for n in names),"
+            " set(names) <= set(sorted(dir(ricemele))), hasattr(ricemele, 'nope'))\n")
+    proc = _run_python(code, [], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    count, distinct, resolved, listed, bogus = proc.stdout.split()
+    assert int(count) == int(distinct) >= 60
+    assert (resolved, listed, bogus) == ("True", "True", "False")
 
 
 # the variable and the process's thread count after a cold CLI import

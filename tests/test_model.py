@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ricemele import ModelParams, ParameterError, build_hamiltonian, site_roles
 from ricemele.errors import DataFormatError
-from ricemele.model import params_from_config, params_to_config, parse_config
+from ricemele.model import median, params_from_config, params_to_config, parse_config, unique
 
 
 def test_site_roles_p4():
@@ -259,3 +259,67 @@ def test_construction_properties(p, v, t1, t2, tq, vq, vm):
         allowed[i, i + 1] = allowed[i + 1, i] = True
     allowed[r.M - 1, r.Q - 1] = allowed[r.Q - 1, r.M - 1] = True
     assert not np.any(off[~allowed])
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+MEDIAN_UNIQUE_CASES = [
+    [3.0], [-0.0], [2.0, 1.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0, -0.0],
+    [5.0, 1.0, 3.0], [1.0, 3.0, 3.0, 1.0], [2.0, 2.0, 2.0, 2.0, 2.0],
+    [-1.5, 0.0, -0.0, 1.5, -0.0, 0.0], [1e-300, -1e-300, 5e-324, -5e-324],
+    [np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 0.0), 1.0],
+]
+
+
+@pytest.mark.parametrize("values", MEDIAN_UNIQUE_CASES)
+def test_median_and_unique_match_numpy_bit_for_bit(values):
+    values = np.array(values)
+    assert _bits(median(values)) == _bits(np.median(values))
+    assert _bits(unique(values)) == _bits(np.unique(values))
+    assert _bits(unique(values.astype(np.int64))) == _bits(np.unique(values.astype(np.int64)))
+
+
+def test_median_and_unique_match_numpy_on_random_ties(rng):
+    for size in range(1, 60):
+        values = rng.integers(-3, 4, size) * 0.5
+        values[rng.random(size) < 0.2] = -0.0
+        assert _bits(median(values)) == _bits(np.median(values))
+        assert _bits(unique(values)) == _bits(np.unique(values))
+
+
+def test_median_propagates_nan():
+    assert np.isnan(median(np.array([1.0, np.nan, 3.0])))
+
+
+# the presets' own grids, and one small enough to be thinned by index
+@pytest.mark.parametrize("preset, n_points, kinds", [
+    ("fig3", None, ["f"]), ("fig4", None, ["f"]), ("fig4", 101, ["f", "i"]),
+])
+def test_unique_matches_numpy_on_resonance_grid_inputs(monkeypatch, preset, n_points, kinds):
+    import ricemele.scattering as scattering
+    from ricemele.cli import PRESETS, RunConfig
+
+    seen = []
+
+    def recording(values):
+        seen.append(np.array(values))
+        return unique(values)
+
+    monkeypatch.setattr(scattering, "unique", recording)
+    cfg = RunConfig(PRESETS[preset], seed=0)
+    scattering.resonance_grid(cfg.model().far_detuned(), n_points or cfg.integer("E_points"))
+    assert [v.dtype.kind for v in seen] == kinds
+    for values in seen:
+        assert _bits(unique(values)) == _bits(np.unique(values))
+
+
+def test_median_matches_numpy_on_participation_ratios(fig1_params):
+    from ricemele.spectral import eigenmodes
+
+    modes = eigenmodes(build_hamiltonian(fig1_params))
+    pr = modes.participation_ratio
+    assert _bits(median(pr)) == _bits(np.median(pr))
+    assert _bits(median(pr[1:])) == _bits(np.median(pr[1:]))

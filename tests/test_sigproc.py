@@ -172,6 +172,22 @@ def test_bootstrap_matches_sort_unique_resampling_bit_for_bit(seed):
     assert got == _bootstrap_sort_unique(T_GRID, x, F_RABI, n=100, seed=seed)
 
 
+@pytest.mark.parametrize("seed, npts", [(0, 4096), (7, 3001)])
+def test_bootstrap_stack_matches_one_channel_calls_bit_for_bit(seed, npts):
+    t = np.arange(float(npts))
+    rng = np.random.default_rng(seed + 200)
+    stack = np.array([
+        amplitude * np.sin(RAD_PER_NS_PER_MHZ * F_RABI * t)
+        + rng.normal(0.0, 0.5, npts) + 1j * rng.normal(0.0, 0.5, npts)
+        for amplitude in (1.0, 0.05, 0.04, 0.5)
+    ])
+    means, stds = bootstrap_amplitude(t, stack, F_RABI, n=100, seed=seed)
+    assert means.shape == stds.shape == (4,)
+    for row, mean, std in zip(stack, means, stds):
+        one = bootstrap_amplitude(t, row, F_RABI, n=100, seed=seed)
+        assert (mean, std) == one == _bootstrap_sort_unique(t, row, F_RABI, n=100, seed=seed)
+
+
 def test_bootstrap_validation():
     with pytest.raises(ParameterError):
         bootstrap_amplitude(T_GRID, _tone(F_RABI), F_RABI, n=50)
