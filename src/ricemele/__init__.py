@@ -22,7 +22,7 @@ _EXPORTS = {
     "model": """RAD_PER_NS_PER_MHZ LabeledHamiltonian ModelParams SiteRoles
         build_hamiltonian params_from_config params_to_config site_roles""",
     "spectral": """BandGap ModeSet QubitSweep band_gap eigenmodes far_detuned_gap
-        in_gap_indices qubit_coupling_flags sweep_qubit_energy three_site_surrogate""",
+        in_gap_indices sweep_qubit_energy three_site_surrogate""",
     "edge_states": "DirectionalityReport bidirectional_point directionality working_points",
     "scattering": """SMatrixPoint SpectrumMap greens_function ldos resonance_grid
         s_matrix transmission_map""",
@@ -30,7 +30,7 @@ _EXPORTS = {
         dressed_in_gap_mode evolve_single_excitation infer_port_self_energy
         integrated_port_emission ramsey_trace""",
     "fitting": """FitObservations FitResult Peak PeakSet bootstrap_fit extract_peaks
-        fit_hamiltonian median_background_subtract model_anticrossing_gap
+        fit_hamiltonian model_anticrossing_gap
         model_peak_frequencies""",
     "sigproc": """ChiEstimate SignalAmplitudes bootstrap_amplitude chi_estimate
         demodulate_amplitude""",

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -129,6 +130,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs: list) -> Path:
+    # the BLAS build and its thread setting: above OpenBLAS's threading
+    # thresholds the thread count changes the rounding of the eigensolves
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "command": command,
         "config": dict(sorted(cfg.raw.items())),
@@ -137,6 +141,8 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs: list) -
         "versions": {
             "ricemele": __version__,
             "numpy": np.__version__,
+            "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
     }
     path = outdir / "manifest.json"
@@ -332,6 +338,7 @@ def cmd_fit(cfg: RunConfig, outdir: Path, peaks_path, gaps_path) -> list:
         "parameters": result.parameter_table(),
         "residual_rms_MHz": result.residual_rms,
         "n_bootstrap": result.n_bootstrap,
+        "n_failed_resamples": result.n_failed,
         "converged": result.converged,
         "fixed": sorted(fixed),
     })

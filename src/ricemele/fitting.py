@@ -10,15 +10,12 @@ Hamiltonian is linear in its parameters, so by the Hellmann-Feynman theorem
 the derivative of an eigenvalue is the expectation value of a constant
 matrix in an eigenvector that the eigensolve already returns. The solver
 works on a stack of rows at once, the restarts of the point fit or a block
-of bootstrap resamples. A row it cannot converge is refit on its own by
-Nelder-Mead and a bounded scalar search (_fit_once), which the tests also
-use as the oracle. Such rows exist: H(V) and H(-V) are mirror images, so
-every eigenvalue is even in V, V = 0 is stationary for every residual, and
-a resample that wanders there stalls.
-
-The module needs only numpy. The two fallbacks are step-for-step ports of
-scipy's Nelder-Mead and bounded Brent search (_nelder_mead, _bounded_brent)
-and return scipy's results bit for bit; the tests check them against scipy.
+of bootstrap resamples, and needs only numpy. A row it cannot converge is a
+failed restart or a failed resample. Such rows exist: H(V) and H(-V) are
+mirror images, so every eigenvalue is even in V, V = 0 is stationary for
+every residual, and a resample that wanders there stalls; its refit would
+also leave the qubit without two in-gap levels (the lower gap edge becomes
+the chiral zero mode), so it has no fit to keep.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ import numpy as np
 
 from .errors import InsufficientModesError, NumericalError, ParameterError
 from .model import ModelParams, _waveguide_tridiagonal, site_roles
-from .scattering import SpectrumMap
 from .spectral import locate_gap, participation
 
 STAGE1_FREE = ("t1", "t2", "V", "VM")
@@ -39,7 +35,7 @@ FIT_NAMES = STAGE1_NAMES + ("tQ",)
 
 # bootstrap resamples per batched solve; bounds the eigenvector stacks in memory
 BLOCK_ROWS = 32
-# Gauss-Newton steps before a row is handed to the per-sample solver
+# Gauss-Newton steps before a row is reported unconverged
 MAX_ITER = 50
 # a row has converged once its next step would move no parameter by more
 # (MHz), or would lower its sum of squares by no more than this fraction
@@ -49,8 +45,6 @@ MU_START, MU_MIN, MU_MAX = 1e-3, 1e-12, 1e10
 # a row gives up once cond(J^T J) passes this: rows that stall near V = 0
 # pass 1e8, while rows that converge stay below about 3e6
 COND_MAX = 1e8
-# objective value outside the model's domain in the per-sample solver
-_SENTINEL = 1e12
 
 
 @dataclass(frozen=True)
@@ -86,6 +80,7 @@ class FitResult:
     residual_rms: float
     converged: bool
     n_bootstrap: int = 0
+    n_failed: int = 0   # resamples whose refit failed, left out of the intervals
     percentile_2_5: dict = field(default_factory=dict)
     percentile_97_5: dict = field(default_factory=dict)
     std: dict = field(default_factory=dict)
@@ -102,30 +97,6 @@ class FitResult:
                 "std": self.std.get(name),
             }
         return table
-
-
-def median_background_subtract(smap: SpectrumMap, window: int) -> SpectrumMap:
-    """Remove the slowly varying background along the flux/VQ axis.
-
-    For each frequency row the running median over `window` columns is
-    subtracted; windows are clamped (shrunk) at the edges.
-    """
-    if window < 3 or window % 2 == 0:
-        raise ParameterError(f"window must be an odd integer >= 3, got {window}")
-    n_vq = len(smap.VQ_grid)
-    if window > n_vq:
-        raise ParameterError(f"window {window} exceeds the VQ axis length {n_vq}")
-    half = window // 2
-    background = np.empty_like(smap.values)
-    for j in range(n_vq):
-        lo, hi = max(0, j - half), min(n_vq, j + half + 1)
-        background[:, j] = np.median(smap.values[:, lo:hi], axis=1)
-    return SpectrumMap(
-        E_grid=smap.E_grid,
-        VQ_grid=smap.VQ_grid,
-        values=smap.values - background,
-        kind=smap.kind,
-    )
 
 
 def _prominent_maxima(y: np.ndarray, min_prominence: float) -> np.ndarray:
@@ -469,254 +440,19 @@ def _tq_bound(initial: ModelParams, model: _GapModel) -> float:
     return max(4.0 * abs(initial.tQ), 100.0, 0.5 * (model.upper - model.lower))
 
 
-def _bounded_brent(f, lo: float, hi: float, xatol: float, maxiter: int = 500):
-    """Minimize f on [lo, hi] by golden-section search with parabolic steps.
-
-    A step-for-step port of scipy.optimize.minimize_scalar(f, bounds=(lo,
-    hi), method="bounded", options={"xatol": xatol, "maxiter": maxiter}),
-    Brent's fmin; returns its x and f(x).
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if np.abs(e) > tol1:
-            # parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r, e = e, rat
-            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            break
-    return xf, fx
-
-
-def _stage2_scalar(model: _GapModel, vqs, sizes, hi: float):
-    """Bounded scalar search for tQ on [0, hi]; returns (tQ, sse).
-
-    The fallback for rows the batched solver cannot converge, and the test
-    oracle. Raises NumericalError when no tQ in range gives two in-gap
-    levels at every gap VQ.
-    """
-    def gap_objective(tq):
-        if tq < 0:
-            return _SENTINEL
-        model_sizes = model.gaps_at(tq, vqs)
-        if np.any(np.isnan(model_sizes)):
-            return _SENTINEL
-        diff = sizes - model_sizes
-        return float(diff @ diff)
-
-    tq, sse = _bounded_brent(gap_objective, 0.0, hi, xatol=1e-3)
-    if sse >= _SENTINEL:
-        raise NumericalError(
-            f"no tQ in [0, {hi:.4g}] MHz gives two in-gap levels at every gap VQ"
-        )
-    return float(tq), float(sse)
-
-
-def _stage1_residuals(theta, free, base, pair_idx, pair_freq, fixed_f0):
-    values = dict(zip(free, theta))
-    t1 = values.get("t1", base.t1)
-    t2 = values.get("t2", base.t2)
-    v = values.get("V", base.V)
-    vm = values.get("VM", base.VM)
-    if t1 < 0 or t2 < 0:
-        return None
-    d, e = _waveguide_tridiagonal(base.p, v, t1, t2, vm)
-    evals = _tridiagonal_eigh(d, e)
-    model = evals[pair_idx]
-    if fixed_f0 is None:
-        f0 = float(np.mean(pair_freq - model))
-    else:
-        f0 = fixed_f0
-    return pair_freq - model - f0, f0
-
-
-def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int):
-    """Minimize f from x0 by the Nelder-Mead simplex; returns (x, fun, success).
-
-    A step-for-step port of scipy.optimize.minimize(f, x0,
-    method="Nelder-Mead", options={"xatol": xatol, "fatol": fatol,
-    "maxiter": maxiter}): the default initial simplex (coordinate k of
-    vertex k scaled by 1.05, or 0.00025 where it is 0), the standard
-    coefficients (reflect 1, expand 2, contract and shrink 1/2), no bounds
-    and no cap on evaluations. It succeeds when every vertex lies within
-    xatol of the best one in each coordinate and within fatol in value, and
-    fails after maxiter - 1 iterations.
-    """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(x) for x in sim], dtype=float)
-    # sorted twice, as scipy does: argsort need not be stable, so ties can swap
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = sim[ind], fsim[ind]
-    iterations = 1
-    while iterations < maxiter:
-        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        shrink = False
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            xc = 1.5 * xbar - 0.5 * sim[-1]
-            fxc = f(xc)
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink = True
-        else:
-            xcc = 0.5 * xbar + 0.5 * sim[-1]
-            fxcc = f(xcc)
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
-            sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-            fsim[1:] = [f(x) for x in sim[1:]]
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = sim[ind], fsim[ind]
-    return sim[0], np.min(fsim), iterations < maxiter
-
-
-def _stage1_nelder_mead(x0, free, base, pair_idx, pair_freq, fixed_f0):
-    """Derivative-free stage-1 refit from x0; returns (x, sse, success).
-
-    The objective is the profiled sum of squares, _SENTINEL where t1 or t2
-    is negative; _nelder_mead stops at xatol 1e-4 MHz, at a relative fatol
-    of 1e-7 of the starting value, or after 2000 iterations.
-    """
-    def objective(theta):
-        out = _stage1_residuals(theta, free, base, pair_idx, pair_freq, fixed_f0)
-        if out is None:
-            return _SENTINEL
-        res, _ = out
-        return float(res @ res)
-
-    fatol = max(1e-10, 1e-7 * (objective(x0) + 1.0))
-    return _nelder_mead(objective, x0, xatol=1e-4, fatol=fatol, maxiter=2000)
-
-
 def _stage1_params(theta, free, base, pair_idx, pair_freq, fixed_f0):
-    """(params, sse) at the stage-1 parameters theta of the free names."""
-    out = _stage1_residuals(theta, free, base, pair_idx, pair_freq, fixed_f0)
-    if out is None:
-        raise NumericalError("stage-1 optimum landed on invalid parameters")
-    residuals, f0 = out
-    values = dict(zip(free, theta))
-    params = base.with_(
-        t1=float(values.get("t1", base.t1)),
-        t2=float(values.get("t2", base.t2)),
-        V=float(values.get("V", base.V)),
-        VM=float(values.get("VM", base.VM)),
-        f0=float(f0),
-    )
-    return params, float(residuals @ residuals)
+    """(params, sse) at the stage-1 parameters theta of the free names.
 
-
-def _fit_once(
-    initial: ModelParams,
-    fixed: frozenset,
-    rng: np.random.Generator,
-    n_restarts: int,
-    pair_idx: np.ndarray,
-    pair_freq: np.ndarray,
-    gap_obs: list,
-):
-    """One full two-stage fit of a single sample by Nelder-Mead and a bounded
-    scalar search; returns (params, sse, converged).
-
-    The bootstrap hands it the resamples the batched solver cannot converge,
-    and the tests use it as the oracle for the batched solver.
+    f0 and the sum of squares are recomputed from one tridiagonal solve
+    rather than taken from the batched solver, whose sum agrees only to
+    rounding.
     """
-    free1 = [n for n in STAGE1_FREE if n not in fixed]
-    fixed_f0 = initial.f0 if "f0" in fixed else None
-
-    best = None
-    converged = False
-    x0_base = np.array([getattr(initial, n) for n in free1])
-    scale = np.maximum(np.abs(x0_base), 10.0)
-    if free1:
-        for trial in range(max(n_restarts, 1)):
-            x0 = x0_base if trial == 0 else x0_base + 0.1 * scale * rng.standard_normal(len(free1))
-            x, fun, success = _stage1_nelder_mead(x0, free1, initial, pair_idx, pair_freq, fixed_f0)
-            if best is None or fun < best[1]:
-                best = (x, fun)
-            converged = converged or bool(success)
-        theta_best = best[0]
-    else:
-        theta_best = x0_base
-        converged = True
-
-    params, sse = _stage1_params(theta_best, free1, initial, pair_idx, pair_freq, fixed_f0)
-    if "tQ" not in fixed and gap_obs:
-        model = _GapModel(params)
-        vqs = np.array([g[0] for g in gap_obs], dtype=float)
-        sizes = np.array([g[1] for g in gap_obs], dtype=float)
-        tq, sse2 = _stage2_scalar(model, vqs, sizes, _tq_bound(initial, model))
-        params = params.with_(tQ=tq)
-        sse += sse2
-    return params, sse, converged
+    values = dict(zip(free, theta))
+    params = base.with_(**{n: float(values.get(n, getattr(base, n))) for n in STAGE1_FREE})
+    model = waveguide_eigenvalues(params)[pair_idx]
+    f0 = float(np.mean(pair_freq - model)) if fixed_f0 is None else fixed_f0
+    residuals = pair_freq - model - f0
+    return params.with_(f0=float(f0)), float(residuals @ residuals)
 
 
 def fit_hamiltonian(
@@ -734,9 +470,10 @@ def fit_hamiltonian(
     offset for fixed shape parameters is the mean residual). Stage 1 runs
     Levenberg-Marquardt with exact Hellmann-Feynman Jacobians from the
     initial guess and from n_restarts - 1 random starts around it, all as
-    one batch, and keeps the best; a start that does not converge is refit
-    by Nelder-Mead. Stage 2 runs Gauss-Newton on tQ from the initial tQ,
-    with a bounded scalar search as the fallback.
+    one batch, and keeps the best converged start. Stage 2 runs Gauss-Newton
+    on tQ from the initial tQ, which must be nonzero: at tQ = 0 no gap size
+    depends on tQ. Raises NumericalError when no start converges or stage 2
+    does not.
     """
     fixed = frozenset(fixed)
     unknown = fixed - set(FIT_NAMES)
@@ -774,10 +511,9 @@ def fit_hamiltonian(
         _waveguide_patterns(initial.p), free_idx, starts,
         np.tile(pair_idx, (rows, 1)), np.tile(freq, (rows, 1)), fixed_f0,
     )
-    for r in np.flatnonzero(~converged):
-        theta[r, free_idx], sse[r], converged[r] = _stage1_nelder_mead(
-            starts[r, free_idx], free1, initial, pair_idx, freq, fixed_f0)
-    best = theta[int(np.argmin(sse)), free_idx]
+    if not converged.any():
+        raise NumericalError(f"stage 1 converged from none of its {rows} starts")
+    best = theta[int(np.argmin(np.where(converged, sse, np.inf))), free_idx]
     params, sse = _stage1_params(best, free1, initial, pair_idx, freq, fixed_f0)
 
     if "tQ" not in fixed:
@@ -786,17 +522,23 @@ def fit_hamiltonian(
         sizes = np.array([[g[1] for g in gaps]], dtype=float)
         hi = _tq_bound(initial, model)
         tq, sse2, ok = _stage2_rows([model], [initial.tQ], vqs, sizes, np.array([hi]))
-        if ok[0]:
-            tq, sse2 = float(tq[0]), float(sse2[0])
-        else:
-            tq, sse2 = _stage2_scalar(model, vqs[0], sizes[0], hi)
-        params = params.with_(tQ=tq)
-        sse += sse2
+        if not ok[0]:
+            missing = np.isnan(model.gaps_at(tq[0], vqs[0]))
+            if missing.any():
+                raise NumericalError(
+                    f"tQ = {tq[0]:.4g} MHz leaves fewer than two in-gap levels at "
+                    f"VQ = {vqs[0][missing][0]:.4g} MHz; stage 2 cannot fit the gaps"
+                )
+            raise NumericalError(
+                f"stage 2 did not converge from tQ = {initial.tQ:.4g} MHz in [0, {hi:.4g}] MHz"
+            )
+        params = params.with_(tQ=float(tq[0]))
+        sse += float(sse2[0])
     n_obs = n_modes + len(gaps)
     return FitResult(
         best=params,
         residual_rms=math.sqrt(sse / n_obs),
-        converged=bool(converged.any()),
+        converged=True,
     )
 
 
@@ -804,13 +546,12 @@ def _refit_block(point: ModelParams, fixed: frozenset, peak_picks, gap_picks, fr
     """Refit a block of bootstrap resamples from the point estimate.
 
     Row r draws the peak ranks peak_picks[r] and the gaps gap_picks[r]. Both
-    stages run batched over the rows; a row either stage cannot converge is
-    refit on its own by _fit_once or _stage2_scalar. Returns one list of the
-    fitted values per row, in FIT_NAMES order, or None where the refit failed.
+    stages run batched over the rows. Returns one list of the fitted values
+    per row, in FIT_NAMES order, or None where the refit failed: where
+    either stage did not converge, or the refit has no band gap.
     """
     fitted = [n for n in FIT_NAMES if n not in fixed]
-    free1 = [n for n in STAGE1_FREE if n not in fixed]
-    free_idx = [STAGE1_FREE.index(n) for n in free1]
+    free_idx = [STAGE1_FREE.index(n) for n in STAGE1_FREE if n not in fixed]
     fixed_f0 = point.f0 if "f0" in fixed else None
     rows = len(peak_picks)
     starts = np.tile([getattr(point, n) for n in STAGE1_FREE], (rows, 1))
@@ -820,16 +561,9 @@ def _refit_block(point: ModelParams, fixed: frozenset, peak_picks, gap_picks, fr
     fit_tq = "tQ" not in fixed and len(gaps) > 0
     out = [None] * rows
     stage2 = {}
-    for r in range(rows):
+    for r in np.flatnonzero(ok):
+        t1, t2, v, vm = theta[r]
         try:
-            if not ok[r]:
-                params, _, _ = _fit_once(
-                    point, fixed, np.random.default_rng(0), 1,
-                    peak_picks[r], freq[peak_picks[r]], [gaps[i] for i in gap_picks[r]],
-                )
-                out[r] = [getattr(params, n) for n in fitted]
-                continue
-            t1, t2, v, vm = theta[r]
             params = point.with_(t1=float(t1), t2=float(t2), V=float(v), VM=float(vm),
                                  f0=float(f0[r]))
             if fit_tq:
@@ -845,11 +579,8 @@ def _refit_block(point: ModelParams, fixed: frozenset, peak_picks, gap_picks, fr
         hi = np.array([_tq_bound(point, m) for m in models])
         tq, _, conv = _stage2_rows(models, np.full(len(idx), point.tQ), obs[..., 0], obs[..., 1], hi)
         for j, r in enumerate(idx):
-            try:
-                t = tq[j] if conv[j] else _stage2_scalar(models[j], obs[j, :, 0], obs[j, :, 1], hi[j])[0]
-            except NumericalError:
-                continue
-            out[r] = [getattr(stage2[r][0].with_(tQ=float(t)), n) for n in fitted]
+            if conv[j]:
+                out[r] = [getattr(stage2[r][0].with_(tQ=float(tq[j])), n) for n in fitted]
     return out
 
 
@@ -865,8 +596,8 @@ def bootstrap_fit(
     The point fit assigns each sorted peak to its eigenvalue rank; resamples
     then draw (rank, frequency) pairs and (VQ, gap) pairs with replacement
     and refit from the point estimate, BLOCK_ROWS resamples per batched
-    solve. A resample whose refit fails is dropped; more than 10 % failures
-    abort. Reports per-parameter 2.5/97.5 percentiles, standard deviations
+    solve. A resample whose refit fails is dropped and counted in n_failed;
+    more than 10 % failures abort. Reports per-parameter 2.5/97.5 percentiles, standard deviations
     and medians of the bootstrap distribution.
     """
     if n < 100:
@@ -911,6 +642,7 @@ def bootstrap_fit(
         residual_rms=point.residual_rms,
         converged=point.converged,
         n_bootstrap=n,
+        n_failed=failures,
         percentile_2_5=p2,
         percentile_97_5=p97,
         std=std,

@@ -163,15 +163,6 @@ def far_detuned_gap(params: ModelParams) -> BandGap:
     return band_gap(modes, params)
 
 
-def qubit_coupling_flags(modes: ModeSet, roles: SiteRoles, threshold: float) -> np.ndarray:
-    """True where a mode has central-site weight above threshold.
-
-    Intended for tQ=0 Hermitian spectra: flagged modes are the ones that
-    anti-cross with the qubit once tQ is switched on.
-    """
-    return modes.central_weight > threshold
-
-
 @dataclass(frozen=True)
 class QubitSweep:
     """Eigenvalues and mode tags on a grid of qubit energies."""

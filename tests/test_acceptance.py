@@ -36,7 +36,6 @@ from ricemele import (
     in_gap_indices,
     infer_port_self_energy,
     integrated_port_emission,
-    qubit_coupling_flags,
     resonance_grid,
     s_matrix,
 )

@@ -219,6 +219,7 @@ def test_fit_command_round_trip(tmp_path):
     assert rc == 0
     result = json.loads((tmp_path / "fit.json").read_text())
     assert result["n_bootstrap"] == 120
+    assert result["n_failed_resamples"] == 0
     for name, target in (("t1", truth.t1), ("t2", truth.t2), ("V", truth.V),
                          ("tQ", truth.tQ), ("f0", truth.f0)):
         assert result["parameters"][name]["best"] == pytest.approx(target, abs=0.5)
@@ -273,6 +274,14 @@ def test_manifest_contents(tmp_path):
     assert "chi.json" in manifest["outputs"]
     assert "ricemele" in manifest["versions"]
     assert "threads" not in manifest
+
+
+def test_manifest_records_the_blas_setup(tmp_path):
+    assert _run(["chi", "--preset", "appc", "--out", tmp_path]) == 0
+    versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert versions["blas"] == f"{blas['name']} {blas['version']}"
+    assert versions["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
 
 
 def test_chi_command_from_port_traces(tmp_path):

@@ -12,7 +12,6 @@ from ricemele import (
     eigenmodes,
     far_detuned_gap,
     in_gap_indices,
-    qubit_coupling_flags,
     sweep_qubit_energy,
     three_site_surrogate,
 )
@@ -141,7 +140,7 @@ def test_coupling_flags_alternate_at_v_zero():
         params = ModelParams(p=p, V=0.0, t1=120.0, t2=150.0, tQ=0.0, VQ=12345.6, VM=0.0)
         modes = eigenmodes(build_hamiltonian(params))
         band = np.flatnonzero(modes.qubit_weight < 0.5)
-        flags = qubit_coupling_flags(modes, modes.roles, 1e-10)[band]
+        flags = (modes.central_weight > 1e-10)[band]
         assert all(flags[i] != flags[i + 1] for i in range(len(flags) - 1))
         assert int(np.sum(~flags)) == 2 * p + 1
 
@@ -153,7 +152,7 @@ def test_coupling_flags_fig1_triple_at_gap(fig1_params):
     params = fig1_params.with_(tQ=0.0, VQ=98765.4)
     modes = eigenmodes(build_hamiltonian(params))
     band = np.flatnonzero(modes.qubit_weight < 0.5)
-    flags = qubit_coupling_flags(modes, modes.roles, 1e-6)[band]
+    flags = (modes.central_weight > 1e-6)[band]
     pattern = "".join("x" if f else "o" for f in flags)
     assert pattern.count("xxx") == 1 and "xxxx" not in pattern
     assert "oo" not in pattern
@@ -163,7 +162,7 @@ def test_coupling_flags_fig1_triple_at_gap(fig1_params):
 def test_coupling_flags_trivial_single_site():
     roles = SiteRoles(dim=1, portL=1, portR=1, M=1, NL=1, NR=1, Q=1)
     modes = eigenmodes(LabeledHamiltonian(np.array([[2.0 + 0j]]), roles, True))
-    assert qubit_coupling_flags(modes, roles, 0.5).tolist() == [True]
+    assert (modes.central_weight > 0.5).tolist() == [True]
 
 
 def test_sweep_far_detuned_invariance(fig1_params):
