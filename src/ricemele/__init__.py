@@ -2,13 +2,18 @@
 in a Rice-Mele photonic waveguide."""
 
 import os
+import sys
 
 # Every matrix here is small (the fig1 chain is 44 x 44, the fit stacks
 # 20 x 20), below OpenBLAS's threading thresholds, so a second BLAS thread
 # only spins and burns a core. Pin one thread before the submodules load
 # numpy; a caller's OPENBLAS_NUM_THREADS wins, and a process that imported
-# numpy first keeps the threads it already has.
+# numpy first keeps the threads it already has. The run manifest records
+# the setting OpenBLAS read: None when numpy came first without one.
+_OPENBLAS_THREADS_READ = os.environ.get("OPENBLAS_NUM_THREADS")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if "numpy" not in sys.modules:
+    _OPENBLAS_THREADS_READ = os.environ["OPENBLAS_NUM_THREADS"]
 
 import importlib
 
@@ -22,13 +27,13 @@ _EXPORTS = {
     "model": """RAD_PER_NS_PER_MHZ LabeledHamiltonian ModelParams SiteRoles
         build_hamiltonian params_from_config params_to_config site_roles""",
     "spectral": """BandGap ModeSet QubitSweep band_gap eigenmodes far_detuned_gap
-        in_gap_indices sweep_qubit_energy three_site_surrogate""",
+        in_gap_indices sweep_qubit_energy""",
     "edge_states": "DirectionalityReport bidirectional_point directionality working_points",
     "scattering": """SMatrixPoint SpectrumMap greens_function ldos resonance_grid
         s_matrix transmission_map""",
     "dynamics": """BlochParams TimeTrace bloch_rabi_trace decay_time dressed_decay_time
         dressed_in_gap_mode evolve_single_excitation infer_port_self_energy
-        integrated_port_emission ramsey_trace""",
+        integrated_port_emission""",
     "fitting": """FitObservations FitResult Peak PeakSet bootstrap_fit extract_peaks
         fit_hamiltonian model_anticrossing_gap
         model_peak_frequencies""",

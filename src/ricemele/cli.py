@@ -13,13 +13,12 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _OPENBLAS_THREADS_READ, __version__
 from .errors import (
     DataFormatError,
     InsufficientModesError,
@@ -142,7 +141,7 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs: list) -
             "ricemele": __version__,
             "numpy": np.__version__,
             "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
-            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OPENBLAS_NUM_THREADS": _OPENBLAS_THREADS_READ,
         },
     }
     path = outdir / "manifest.json"

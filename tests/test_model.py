@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from ricemele import ModelParams, ParameterError, build_hamiltonian, site_roles
 from ricemele.errors import DataFormatError
-from ricemele.model import median, params_from_config, params_to_config, parse_config, unique
+from ricemele.model import (
+    median, params_from_config, params_to_config, parse_config, percentile, unique,
+)
 
 
 def test_site_roles_p4():
@@ -288,6 +290,36 @@ def test_median_and_unique_match_numpy_on_random_ties(rng):
         values[rng.random(size) < 0.2] = -0.0
         assert _bits(median(values)) == _bits(np.median(values))
         assert _bits(unique(values)) == _bits(np.unique(values))
+
+
+# n = 1 and 2, ties, signed zeros, sorted and unsorted, and lengths where the
+# 2.5 % and 97.5 % virtual indices fall on both sides of the t >= 0.5 branch
+PERCENTILE_CASES = MEDIAN_UNIQUE_CASES + [
+    [0.0, -0.0], [-0.0, 0.0], [1.0, 2.0], [2.0, 1.0], [-1.0, 1e300], [7.0] * 41,
+    list(np.arange(21.0)), list(np.arange(21.0)[::-1]), list(np.arange(41.0) % 3 - 1.0),
+]
+
+
+@pytest.mark.parametrize("values", PERCENTILE_CASES)
+def test_percentile_matches_numpy_bit_for_bit(values):
+    values = np.array(values)
+    assert _bits(percentile(values)) == _bits(np.percentile(values, [2.5, 97.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0])),
+                       min_size=1, max_size=300),
+       shuffle=st.randoms(use_true_random=False))
+def test_percentile_matches_numpy_on_random_samples(values, shuffle):
+    shuffle.shuffle(values)
+    values = np.array(values)
+    before = values.copy()
+    assert _bits(percentile(values)) == _bits(np.percentile(values, [2.5, 97.5]))
+    assert _bits(values) == _bits(before)
+
+
+def test_percentile_propagates_nan():
+    assert np.isnan(percentile(np.array([1.0, np.nan, 3.0]))).all()
 
 
 def test_median_propagates_nan():

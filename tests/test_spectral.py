@@ -13,7 +13,6 @@ from ricemele import (
     far_detuned_gap,
     in_gap_indices,
     sweep_qubit_energy,
-    three_site_surrogate,
 )
 from ricemele.model import LabeledHamiltonian, SiteRoles
 from ricemele.spectral import ModeSet, QubitSweep, write_sweep_csv
@@ -192,6 +191,23 @@ def test_sweep_anticrossing_minimum_inside_gap(fig1_params):
     assert np.isfinite(splits[k])
     assert gap.lower < grid[k] < gap.upper
     assert abs(grid[k]) < 10.0  # anti-crossing centred near the defect state
+
+
+def three_site_surrogate(params: ModelParams) -> np.ndarray:
+    """4x4 surrogate keeping only sites NL, M, NR and the qubit.
+
+    Useful inside the gap, where a strongly detuned central site reduces the
+    full chain to these couplings; the oracle of the sweep test below.
+    """
+    return np.array(
+        [
+            [-params.V, -params.t1, 0.0, 0.0],
+            [-params.t1, params.VM, -params.t1, -params.tQ],
+            [0.0, -params.t1, params.V, 0.0],
+            [0.0, -params.tQ, 0.0, params.VQ],
+        ],
+        dtype=complex,
+    )
 
 
 def test_sweep_vs_three_site_surrogate(fig1_params, fitted_params):
