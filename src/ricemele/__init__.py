@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 # The public names by submodule. A name loads its submodule on first use, so
 # a command loads (and, without a bytecode cache, compiles) only what it runs.
 _EXPORTS = {
-    "errors": """DataFormatError InsufficientModesError NotFoundError NumericalError
-        ParameterError RiceMeleError""",
+    "errors": "DataFormatError NotFoundError NumericalError ParameterError RiceMeleError",
     "model": """RAD_PER_NS_PER_MHZ LabeledHamiltonian ModelParams SiteRoles
         build_hamiltonian params_from_config params_to_config site_roles""",
     "spectral": """BandGap ModeSet QubitSweep band_gap eigenmodes far_detuned_gap

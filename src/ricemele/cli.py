@@ -21,7 +21,6 @@ import numpy as np
 from . import _OPENBLAS_THREADS_READ, __version__
 from .errors import (
     DataFormatError,
-    InsufficientModesError,
     NotFoundError,
     NumericalError,
     ParameterError,
@@ -446,8 +445,7 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, NotFoundError, InsufficientModesError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (NumericalError, NotFoundError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     except RiceMeleError as exc:

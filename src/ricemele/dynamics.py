@@ -262,14 +262,6 @@ def integrated_port_emission(trace: TimeTrace) -> tuple[float, float]:
     return wl, wr
 
 
-def best_quadrature(samples: np.ndarray) -> np.ndarray:
-    """Project complex samples onto the quadrature angle maximizing the signal."""
-    z = np.asarray(samples, dtype=complex)
-    # the dominant quadrature is the principal axis of the (re, im) cloud
-    angle = 0.5 * np.angle(np.sum(z * z))
-    return np.real(z * np.exp(-1j * angle))
-
-
 def write_trace_csv(path, trace: TimeTrace) -> None:
     """CSV with t_ns followed by one re/im column pair per channel.
 

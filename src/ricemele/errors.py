@@ -23,9 +23,5 @@ class NumericalError(RiceMeleError, RuntimeError):
     """Solver failure (non-convergence, singular matrix, Bloch vector off the sphere)."""
 
 
-class InsufficientModesError(RiceMeleError):
-    """Too few band modes to identify a gap."""
-
-
 class NotFoundError(RiceMeleError, LookupError):
     """A required feature (in-gap mode, working point, bracketing root) was not found."""

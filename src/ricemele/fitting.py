@@ -13,9 +13,10 @@ works on a stack of rows at once, the restarts of the point fit or a block
 of bootstrap resamples, and needs only numpy. A row it cannot converge is a
 failed restart or a failed resample. Such rows exist: H(V) and H(-V) are
 mirror images, so every eigenvalue is even in V, V = 0 is stationary for
-every residual, and a resample that wanders there stalls; its refit would
-also leave the qubit without two in-gap levels (the lower gap edge becomes
-the chiral zero mode), so it has no fit to keep.
+every residual, and a resample that wanders there stalls. At V = 0 the
+chiral zero mode, dark at M, is a level inside the gap, so the smallest
+in-gap splitting can be its spacing to a qubit level, which stage 2 may
+not fit either.
 
 Stage 2 solves no matrix. In the eigenbasis of the waveguide block the
 qubit couples to every mode through its amplitude at M, so the levels are
@@ -25,8 +26,10 @@ safeguarded rational iteration. Modes dark at M (tQ |psi_M| below rounding;
 5-8 of the fitted device's 19) are levels themselves. Against a dense
 eigensolve of the arrow matrix, the test oracle, the gaps agree to 1e-9 MHz
 and their tQ slopes to 1e-8 relative, wherever rounding does not decide
-whether a level at a gap edge is inside. A bootstrap row takes its gap
-model from the eigenpairs of its own stage-1 solve.
+whether a level at a gap edge is inside. The gap edges are those of the
+bulk rule model.gap_edges. A bootstrap row takes its gap model from the
+eigenpairs of its own stage-1 solve, and a block of rows its gap edges from
+one gap_edges call on their eigenvalues.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientModesError, NumericalError, ParameterError
-from .model import ModelParams, _waveguide_tridiagonal, median, percentile, site_roles
-from .spectral import locate_gap, participation
+from .errors import NumericalError, ParameterError
+from .model import (
+    ModelParams, _waveguide_tridiagonal, gap_edges, median, percentile, site_roles,
+)
 
 STAGE1_FREE = ("t1", "t2", "V", "VM")
 STAGE1_NAMES = STAGE1_FREE + ("f0",)
@@ -215,31 +219,13 @@ def model_peak_frequencies(params: ModelParams) -> np.ndarray:
     return waveguide_eigenvalues(params) + params.f0
 
 
-def _gap_edges(evals, evecs, m, reach):
-    """(lower, upper) of the band gap of each of a stack of waveguide blocks
-    with eigenvalues evals[r] and eigenvector columns evecs[r], by one
-    locate_gap call with reach[r] = t1 + t2 per block; nan where it finds
-    none. This is the gap of the bare block, not far_detuned_gap, since even
-    a parked qubit moves the edges by ~0.2 MHz. With no qubit row only M
-    (row m) can dominate a mode."""
-    prob = evecs**2
-    _, localized = participation(prob)
-    edges = np.full((len(evals), 2), math.nan)
-    for r in range(len(evals)):
-        try:
-            gap = locate_gap(evals[r], prob[r, m], localized[r], reach[r])
-        except InsufficientModesError:
-            continue
-        edges[r] = gap.lower, gap.upper
-    return edges.T
-
-
 class _GapModel:
     """Anti-crossing gap sizes with the waveguide block frozen.
 
     Working in the waveguide eigenbasis turns the full Hamiltonian into an
     arrow matrix: diag(waveguide eigenvalues, VQ) with the qubit coupled to
-    every waveguide mode by -tQ * (mode amplitude at M).
+    every waveguide mode by -tQ * (mode amplitude at M). The gap edges are
+    model.gap_edges of the block's eigenvalues unless bounds gives them.
     """
 
     def __init__(self, params: ModelParams, bounds: tuple[float, float] = None):
@@ -250,10 +236,8 @@ class _GapModel:
         if bounds:
             self.lower, self.upper = bounds
         else:
-            prob = evecs**2
-            _, localized = participation(prob)
-            gap = locate_gap(evals, prob[m], localized, params.t1 + params.t2)
-            self.lower, self.upper = gap.lower, gap.upper
+            self.lower, self.upper = (
+                float(x) for x in gap_edges(evals, params.V, params.t1, params.t2))
 
     def rows(self):
         """(evals, psi_m, lower, upper) as a stack of one row for _arrow_gaps."""
@@ -705,7 +689,8 @@ def _refit_block(point: ModelParams, fixed: frozenset, peak_picks, gap_picks, fr
 
     Row r draws the peak ranks peak_picks[r] and the gaps gap_picks[r]. Both
     stages run batched over the rows; stage 2 takes each row's waveguide
-    eigenpairs from stage 1 and one locate_gap call for its gap edges.
+    eigenpairs from stage 1, and the gap edges of all rows from one
+    model.gap_edges call on their eigenvalues.
     Returns the fitted values (rows, fitted names in FIT_NAMES order), a row
     of nan where the refit failed: where either stage did not converge, the
     refit has no band gap, or its values are not finite with t1, t2, tQ >= 0
@@ -723,7 +708,7 @@ def _refit_block(point: ModelParams, fixed: frozenset, peak_picks, gap_picks, fr
     if "tQ" not in fixed and len(gaps) > 0:
         m = site_roles(point.p).M - 1
         idx = np.flatnonzero(ok)
-        lower, upper = _gap_edges(evals[idx], evecs[idx], m, theta[idx, 0] + theta[idx, 1])
+        lower, upper = gap_edges(evals[idx], theta[idx, 2], theta[idx, 0], theta[idx, 1])
         has_gap = ~np.isnan(lower)
         ok[idx] = has_gap
         idx, lower, upper = idx[has_gap], lower[has_gap], upper[has_gap]

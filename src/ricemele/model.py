@@ -196,6 +196,29 @@ def _waveguide_tridiagonal(p: int, V: float, t1: float, t2: float, VM: float):
     return d, e
 
 
+def gap_edges(energies, V, t1, t2):
+    """(lower, upper) band-gap edges of each row of energies (..., n), with
+    V, t1 and t2 broadcast over the leading axes.
+
+    The bulk Rice-Mele bands are +-sqrt(V^2 + t1^2 + t2^2 + 2 t1 t2 cos k)
+    (Rice & Mele, PRL 49, 1455 (1982)), so a level with |E| < E_b =
+    sqrt(V^2 + (t1 - t2)^2) is a bound state. The lower edge is the largest
+    energy <= -E_b, the upper edge the smallest >= +E_b, each to within
+    4 eps of the row's largest |E|, so a level rounded off +-E_b (a uniform
+    chain's zero mode at E_b = 0) is an edge; the gap is the open interval
+    between them. nan where a side has no energy, which a Hermitian
+    Hamiltonian of this model never gives: by interlacing with the 2 x 2
+    block of its stronger bond it has levels beyond
+    +-sqrt(V^2 + max(t1, t2)^2).
+    """
+    e = np.asarray(energies, dtype=float)
+    eb = np.hypot(V, np.subtract(t1, t2))
+    tol = 4.0 * np.finfo(float).eps * np.abs(e).max(axis=-1)
+    lower = np.where(e <= (tol - eb)[..., None], e, -np.inf).max(axis=-1)
+    upper = np.where(e >= (eb - tol)[..., None], e, np.inf).min(axis=-1)
+    return np.where(np.isinf(lower), np.nan, lower), np.where(np.isinf(upper), np.nan, upper)
+
+
 def build_hamiltonian(params: ModelParams, include_ports: bool = False) -> LabeledHamiltonian:
     """Construct the full chain + qubit Hamiltonian.
 

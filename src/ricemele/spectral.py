@@ -7,35 +7,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientModesError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 from .model import (
-    LabeledHamiltonian, ModelParams, SiteRoles, build_hamiltonian, median, site_roles,
+    LabeledHamiltonian, ModelParams, SiteRoles, build_hamiltonian, gap_edges, site_roles,
 )
-
-# a candidate band mode must keep qubit and central weight below this
-WEIGHT_EXCLUDE = 0.5
-# and its participation ratio above this fraction of the median
-LOCALIZED_PR_FRACTION = 0.5
-# a gap narrower than this multiple of the median band spacing is degenerate
-DEGENERATE_SPACING_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Complete spectrum of one Hamiltonian, sorted by Re(E), plus per-mode tags.
+    """Complete spectrum of one Hamiltonian, sorted by Re(E), plus per-mode weights.
 
     Eigenvectors are unit-norm columns; column k belongs to eigenvalues[k].
-    qubit_weight / central_weight are |amplitude|^2 on the Q / M site,
-    participation_ratio is 1 / sum_i |psi_i|^4, and localized flags modes
-    whose participation ratio falls well below the median (bound states).
+    qubit_weight / central_weight are |amplitude|^2 on the Q / M site.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     qubit_weight: np.ndarray
     central_weight: np.ndarray
-    participation_ratio: np.ndarray
-    localized: np.ndarray
     roles: SiteRoles
 
     def __len__(self) -> int:
@@ -44,12 +33,14 @@ class ModeSet:
 
 @dataclass(frozen=True)
 class BandGap:
-    """Widest spectral interval free of extended band modes."""
+    """Band gap of a spectrum by the bulk rule model.gap_edges: the open
+    interval (lower, upper) between the levels nearest the bulk band edges
+    +-sqrt(V^2 + (t1 - t2)^2) from outside, and the modes strictly inside.
+    A uniform chain (V = 0, t1 = t2) has a zero-width gap on its zero mode."""
 
     lower: float
     upper: float
     in_gap_mode_indices: list = field(default_factory=list)
-    degenerate: bool = False
 
     @property
     def width(self) -> float:
@@ -61,7 +52,7 @@ class BandGap:
 
 
 def eigenmodes(H: LabeledHamiltonian) -> ModeSet:
-    """Solve the full spectrum and classify every mode.
+    """Solve the full spectrum and weigh every mode on Q and M.
 
     Hermitian matrices go through the symmetric solver (orthonormal
     eigenvectors, real eigenvalues); port-dressed matrices through the
@@ -86,69 +77,22 @@ def eigenmodes(H: LabeledHamiltonian) -> ModeSet:
     evals, evecs = evals[order], evecs[:, order]
 
     prob = np.abs(evecs) ** 2
-    pr, localized = participation(prob)
     return ModeSet(
         eigenvalues=evals,
         eigenvectors=evecs,
         qubit_weight=prob[H.roles.Q - 1],
         central_weight=prob[H.roles.M - 1],
-        participation_ratio=pr,
-        localized=localized,
         roles=H.roles,
     )
 
 
-def participation(prob: np.ndarray):
-    """Participation ratio of each column of prob = |psi|^2, and whether it
-    falls below LOCALIZED_PR_FRACTION of the median (a localized mode). For a
-    stack of blocks, with sites on the second-last axis, each block's median."""
-    pr = 1.0 / np.sum(prob**2, axis=-2)
-    return pr, pr < LOCALIZED_PR_FRACTION * median(pr)[..., None]
-
-
 def band_gap(modes: ModeSet, params: ModelParams) -> BandGap:
-    """Band gap of a ModeSet by locate_gap, with qubit- and central-site-
-    dominated modes excluded."""
-    dominant = np.maximum(modes.qubit_weight, modes.central_weight)
-    return locate_gap(modes.eigenvalues.real, dominant, modes.localized, params.t1 + params.t2)
-
-
-def locate_gap(energies, dominant_weight, localized, reach: float) -> BandGap:
-    """The band-gap rule, for any set of modes with real energies.
-
-    Modes whose dominant_weight (largest weight on a site that does not
-    belong to the bands, such as M or Q) exceeds 0.5 and bound states flagged
-    as localized are excluded; among the remaining band modes the gap is the
-    widest interval between consecutive energies whose midpoint lies within
-    +-reach (t1 + t2) of the band centre. Modes whose energy lies strictly inside
-    are listed in in_gap_mode_indices. A gap not clearly wider than the
-    typical band spacing is reported with degenerate=True.
-    """
-    energies = np.asarray(energies)
-    keep = ~((dominant_weight > WEIGHT_EXCLUDE) | localized)
-    band = np.sort(energies[keep])
-    if len(band) < 4:
-        raise InsufficientModesError(
-            f"only {len(band)} band modes left after exclusion; need >= 4"
-        )
-
-    spacings = np.diff(band)
-    centre = band.mean()
-    midpoints = 0.5 * (band[:-1] + band[1:])
-    eligible = np.abs(midpoints - centre) <= reach
-    if not eligible.any():
-        raise InsufficientModesError("no eligible interval near the band centre")
-    widest = np.flatnonzero(eligible)[np.argmax(spacings[eligible])]
-    lower, upper = float(band[widest]), float(band[widest + 1])
-
-    degenerate = (upper - lower) < DEGENERATE_SPACING_FACTOR * float(median(spacings))
+    """Band gap of a ModeSet by the bulk rule model.gap_edges on the real
+    parts of its eigenvalues, for the chain parameters V, t1 and t2 of params."""
+    energies = modes.eigenvalues.real
+    lower, upper = (float(x) for x in gap_edges(energies, params.V, params.t1, params.t2))
     inside = np.flatnonzero((energies > lower) & (energies < upper))
-    return BandGap(
-        lower=lower,
-        upper=upper,
-        in_gap_mode_indices=[int(i) for i in inside],
-        degenerate=degenerate,
-    )
+    return BandGap(lower=lower, upper=upper, in_gap_mode_indices=[int(i) for i in inside])
 
 
 def in_gap_indices(modes: ModeSet, gap: BandGap) -> list:

@@ -4,6 +4,70 @@ import pytest
 from ricemele import ModelParams
 
 
+# the band-gap heuristic that model.gap_edges replaced, kept as its oracle
+WEIGHT_EXCLUDE = 0.5
+LOCALIZED_PR_FRACTION = 0.5
+DEGENERATE_SPACING_FACTOR = 2.0
+
+
+def heuristic_gap(energies, prob, dominant_weight, reach):
+    """(lower, upper, in-gap indices, degenerate) by the old heuristic, or
+    None where it finds no gap.
+
+    prob holds |psi|^2 with one mode per column. Modes whose dominant_weight
+    (largest weight on M or Q) exceeds WEIGHT_EXCLUDE, and modes whose
+    participation ratio falls below LOCALIZED_PR_FRACTION of the median, are
+    excluded; among the remaining band modes the gap is the widest interval
+    between consecutive energies whose midpoint lies within +-reach of the
+    band centre, degenerate when narrower than DEGENERATE_SPACING_FACTOR
+    median spacings.
+    """
+    energies = np.asarray(energies)
+    pr = 1.0 / np.sum(prob**2, axis=0)
+    localized = pr < LOCALIZED_PR_FRACTION * np.median(pr)
+    band = np.sort(energies[~((dominant_weight > WEIGHT_EXCLUDE) | localized)])
+    if len(band) < 4:
+        return None
+    spacings = np.diff(band)
+    midpoints = 0.5 * (band[:-1] + band[1:])
+    eligible = np.abs(midpoints - band.mean()) <= reach
+    if not eligible.any():
+        return None
+    widest = np.flatnonzero(eligible)[np.argmax(spacings[eligible])]
+    lower, upper = float(band[widest]), float(band[widest + 1])
+    degenerate = (upper - lower) < DEGENERATE_SPACING_FACTOR * float(np.median(spacings))
+    inside = np.flatnonzero((energies > lower) & (energies < upper))
+    return lower, upper, [int(i) for i in inside], degenerate
+
+
+def heuristic_mode_gap(modes, params):
+    """heuristic_gap of a spectral.ModeSet, Q- and M-dominated modes excluded."""
+    return heuristic_gap(modes.eigenvalues.real, np.abs(modes.eigenvectors) ** 2,
+                         np.maximum(modes.qubit_weight, modes.central_weight),
+                         params.t1 + params.t2)
+
+
+def heuristic_block_gap(params):
+    """(lower, upper) of heuristic_gap on the bare waveguide block, M-dominated
+    modes excluded, or None."""
+    from ricemele.fitting import _tridiagonal_eigh
+    from ricemele.model import _waveguide_tridiagonal, site_roles
+
+    d, e = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
+    evals, evecs = _tridiagonal_eigh(d, e, vectors=True)
+    prob = evecs**2
+    gap = heuristic_gap(evals, prob, prob[site_roles(params.p).M - 1], params.t1 + params.t2)
+    return None if gap is None else gap[:2]
+
+
+def best_quadrature(samples: np.ndarray) -> np.ndarray:
+    """Project complex samples onto the quadrature angle maximizing the signal."""
+    z = np.asarray(samples, dtype=complex)
+    # the dominant quadrature is the principal axis of the (re, im) cloud
+    angle = 0.5 * np.angle(np.sum(z * z))
+    return np.real(z * np.exp(-1j * angle))
+
+
 @pytest.fixture
 def fig1_params():
     """Ideal chain used for the edge-state demonstrations (no ports)."""

@@ -39,9 +39,10 @@ from ricemele import (
     resonance_grid,
     s_matrix,
 )
-from ricemele.dynamics import best_quadrature
 from ricemele.edge_states import bidirectional_point
 from ricemele.fitting import Peak, PeakSet, model_anticrossing_gap, model_peak_frequencies
+
+from conftest import best_quadrature
 
 FIG1 = ModelParams(p=10, V=37.5, t1=120.0, t2=150.0, tQ=62.5, VQ=-37.5)
 FITTED = ModelParams(p=4, V=40.0, t1=230.0, t2=280.0, tQ=130.0, VQ=-40.0, VM=590.0,

@@ -143,6 +143,27 @@ SMALL_SPECTRUM_CFG = (
 )
 
 
+def test_small_spectrum_gap_holds_the_defect_state_and_both_working_points(tmp_path):
+    # at p = 2 the far-detuned defect state at -0.13 MHz lies inside the bulk
+    # gap |E| < sqrt(30^2 + 40^2) = 50 MHz, so it is in the gap, not an edge
+    # of it, and the rightward working point VQ = +30 MHz lies inside as well
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_SPECTRUM_CFG)
+    assert _run(["spectrum", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    report = json.loads((tmp_path / "out" / "directionality.json").read_text())
+    gap = report["band_gap_MHz"]
+    assert gap["lower"] == pytest.approx(-85.876, abs=1e-3)
+    assert gap["upper"] == pytest.approx(85.180, abs=1e-3)
+    params = ModelParams(p=2, V=30.0, t1=100.0, t2=140.0, tQ=50.0, VQ=-30.0)
+    energies = np.linalg.eigvalsh(ricemele.build_hamiltonian(params.far_detuned()).matrix)
+    inside = energies[(energies > gap["lower"]) & (energies < gap["upper"])]
+    assert inside == pytest.approx([-0.1276], abs=1e-4)
+    assert report["working_points_MHz"] == {"left": -30.0, "right": 30.0}
+    right = report["reports"]["right"]
+    assert gap["lower"] < right["VQ_MHz"] < gap["upper"]
+    assert right["chi"] is None and right["pop_left"] == 0.0   # chi = inf
+
+
 def test_same_seed_gives_identical_bytes(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_SPECTRUM_CFG)
@@ -227,8 +248,9 @@ def test_fit_command_round_trip(tmp_path):
 
 
 def test_fit_without_a_valid_tq_exits_numerical(tmp_path, capsys):
-    # V = 0 makes the lower gap edge a zero mode that is dark at M; a qubit
-    # below it never gives two in-gap levels, so no tQ fits these gaps
+    # V = 0 puts a zero mode, dark at M, inside the gap; with a qubit below
+    # it the splitting is the spacing of one qubit-like level to that zero
+    # mode, below |VQ| for every tQ, so no tQ fits these gaps
     _, peaks, gaps, cfg = _write_fit_inputs(tmp_path)
     truth = ModelParams(p=4, V=0.0, t1=230.0, t2=280.0, tQ=130.0, VQ=0.0, VM=590.0, f0=4600.0)
     with open(peaks, "w", newline="") as fh:
@@ -241,7 +263,7 @@ def test_fit_without_a_valid_tq_exits_numerical(tmp_path, capsys):
                    "fixed = V\nn_bootstrap = 100\n")
     rc = _run(["fit", "--config", cfg, "--peaks", peaks, "--gaps", gaps, "--out", tmp_path])
     assert rc == 4
-    assert "two in-gap levels" in capsys.readouterr().err
+    assert "stage 2 did not converge" in capsys.readouterr().err
     assert not (tmp_path / "fit.json").exists()
 
 

@@ -27,11 +27,12 @@ from ricemele.dynamics import (
     TimeTrace,
     _bloch_generator,
     _propagate,
-    best_quadrature,
     read_trace_csv,
     write_trace_csv,
 )
 from ricemele.model import RAD_PER_NS_PER_MHZ, LabeledHamiltonian, SiteRoles, site_roles
+
+from conftest import best_quadrature
 
 
 def _single_site(z):

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize_scalar
 
 from ricemele import (
-    InsufficientModesError,
     ModelParams,
     ParameterError,
     build_hamiltonian,
@@ -228,10 +227,7 @@ def test_working_points_match_scan_oracle(name, fig1_params, fitted_params):
 )
 def test_working_points_give_infinite_chi(p, t1, t2, V, sign, VM, tQ):
     params = ModelParams(p=p, V=sign * V, t1=t1, t2=t2, tQ=tQ, VQ=0.0, VM=VM)
-    try:
-        gap = far_detuned_gap(params)
-    except InsufficientModesError:
-        assume(False)
+    gap = far_detuned_gap(params)
     vq_left, vq_right = working_points(params)
     assume(gap.lower < min(vq_left, vq_right) and max(vq_left, vq_right) < gap.upper)
     for vq, direction in ((vq_left, "left"), (vq_right, "right")):

@@ -206,7 +206,7 @@ def test_cli_import_loads_only_errors_and_model(tmp_path):
     (["scatter", "--preset", "fig4"], {"dynamics", "edge_states", "sigproc"}),
     (["chi", "--preset", "appc"], {"fitting", "scattering"}),
     ("traces", {"fitting", "scattering"}),
-    ("fit", {"scattering", "dynamics", "sigproc", "edge_states"}),
+    ("fit", {"spectral", "scattering", "dynamics", "sigproc", "edge_states"}),
 ], ids=["spectrum", "emit", "scatter-fig3", "scatter-fig4", "chi-appc", "chi-traces", "fit"])
 def test_command_loads_only_its_modules_and_no_numpy_ma(tmp_path, args, unused):
     if args == "traces":
@@ -226,7 +226,7 @@ def test_every_exported_name_resolves_and_is_listed(tmp_path):
     proc = _run_python(code, [], tmp_path)
     assert proc.returncode == 0, proc.stderr
     count, distinct, resolved, listed, bogus = proc.stdout.split()
-    assert int(count) == int(distinct) >= 56
+    assert int(count) == int(distinct) >= 55
     assert (resolved, listed, bogus) == ("True", "True", "False")
 
 

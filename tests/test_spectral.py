@@ -1,10 +1,12 @@
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricemele import (
-    InsufficientModesError,
     ModelParams,
     ParameterError,
     band_gap,
@@ -14,8 +16,10 @@ from ricemele import (
     in_gap_indices,
     sweep_qubit_energy,
 )
-from ricemele.model import LabeledHamiltonian, SiteRoles
+from ricemele.model import LabeledHamiltonian, SiteRoles, gap_edges, site_roles
 from ricemele.spectral import ModeSet, QubitSweep, write_sweep_csv
+
+from conftest import heuristic_mode_gap
 
 
 def _toy_hamiltonian(matrix, hermitian=True):
@@ -57,7 +61,6 @@ def test_eigenvector_invariants(fig1_params):
     overlap = modes.eigenvectors.conj().T @ modes.eigenvectors
     np.fill_diagonal(overlap, 0.0)
     assert np.max(np.abs(overlap)) < 1e-9
-    assert np.all(modes.participation_ratio >= 1.0)
 
 
 def test_trace_preserved(fig1_params, fitted_params):
@@ -84,8 +87,8 @@ def test_ports_push_spectrum_into_lower_half_plane(rng):
 def test_fig1_two_states_in_gap(fig1_params):
     modes = eigenmodes(build_hamiltonian(fig1_params))
     gap = band_gap(modes, fig1_params)
-    assert gap.lower < 0.0 < gap.upper
-    assert not gap.degenerate
+    e_b = math.hypot(fig1_params.V, fig1_params.t1 - fig1_params.t2)
+    assert gap.lower <= -e_b and gap.upper >= e_b
     assert len(gap.in_gap_mode_indices) == 2
     # at VQ = -V the qubit-dominant in-gap state sits at -V
     k = max(gap.in_gap_mode_indices, key=lambda i: modes.qubit_weight[i])
@@ -99,9 +102,34 @@ def test_fig1_far_detuned_single_defect_state(fig1_params):
 
 
 def test_gap_degenerate_for_uniform_chain():
+    # V = 0 and t1 = t2 close the bulk gap (E_b = 0): both edges are the zero
+    # mode, which eigh rounds to about 1e-14, and no mode is inside
     params = ModelParams(p=5, V=0.0, t1=100.0, t2=100.0, tQ=0.0, VQ=9999.0)
-    gap = band_gap(eigenmodes(build_hamiltonian(params)), params)
-    assert gap.degenerate
+    modes = eigenmodes(build_hamiltonian(params))
+    gap = band_gap(modes, params)
+    zero = modes.eigenvalues.real[np.argmin(np.abs(modes.eigenvalues.real))]
+    assert abs(zero) < 1e-12
+    assert gap.lower == gap.upper == zero
+    assert gap.width == 0.0 and gap.in_gap_mode_indices == []
+
+
+def _cell_weights(vector, p):
+    """|psi|^2 summed over each two-site unit cell of the two half-chains,
+    counted from the chain ends: p cells on each side of M."""
+    w = np.abs(vector) ** 2
+    r = site_roles(p)
+    left = w[:2 * p].reshape(p, 2).sum(axis=1)
+    right = w[r.portR - 2 * p: r.portR][::-1].reshape(p, 2).sum(axis=1)
+    return left, right
+
+
+def _decays_from_m_or_the_ends(vector, p, tol=1e-10):
+    """Whether on each half-chain the cell weights are convex, so that they
+    fall away from M, from the chain end, or from both. Inside the bulk gap
+    the transfer matrix of a cell has real eigenvalues x and 1/x, so the cell
+    weights are A x^(2n) + B x^(-2n) + C with A, B >= 0; a band mode's are
+    oscillating."""
+    return all(np.all(np.diff(w, 2) >= -tol) for w in _cell_weights(vector, p))
 
 
 def test_fitted_far_detuned_single_localized_state(fitted_params):
@@ -111,27 +139,131 @@ def test_fitted_far_detuned_single_localized_state(fitted_params):
     gap = band_gap(modes, params)
     assert len(gap.in_gap_mode_indices) == 1
     (k,) = gap.in_gap_mode_indices
-    assert modes.localized[k]
+    assert _decays_from_m_or_the_ends(modes.eigenvectors[:, k], params.p)
     # its energy sits inside the gap, well away from both edges
     e = modes.eigenvalues[k].real
     assert gap.lower + 5 < e < gap.upper - 5
 
 
+def test_in_gap_modes_decay_and_band_modes_do_not(fig1_params):
+    # the convexity test tells the fig1 chain's bound state from its band modes
+    params = fig1_params.far_detuned()
+    modes = eigenmodes(build_hamiltonian(params))
+    gap = band_gap(modes, params)
+    band = [k for k in range(len(modes)) if k not in gap.in_gap_mode_indices
+            and modes.qubit_weight[k] < 0.5]
+    assert gap.in_gap_mode_indices == [21]
+    assert _decays_from_m_or_the_ends(modes.eigenvectors[:, 21], params.p)
+    assert not any(_decays_from_m_or_the_ends(modes.eigenvectors[:, k], params.p) for k in band)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(1, 8),
+    V=st.floats(-100.0, 100.0),
+    t1=st.floats(10.0, 300.0),
+    t2=st.floats(10.0, 300.0),
+    VM=st.floats(-600.0, 600.0),
+)
+def test_far_detuned_in_gap_modes_decay_from_m_or_the_chain_ends(p, V, t1, t2, VM):
+    params = ModelParams(p=p, V=V, t1=t1, t2=t2, tQ=50.0, VQ=0.0, VM=VM).far_detuned()
+    modes = eigenmodes(build_hamiltonian(params))
+    gap = band_gap(modes, params)
+    assert math.isfinite(gap.lower) and math.isfinite(gap.upper)
+    for k in gap.in_gap_mode_indices:
+        assert _decays_from_m_or_the_ends(modes.eigenvectors[:, k], p), (k, modes.eigenvalues[k])
+
+
+def test_gap_edges_are_the_levels_nearest_the_bulk_edges_from_outside():
+    # E_b = sqrt(1 + 0) = 1: -1 and 1 are the edges, 0 and +-0.5 are inside
+    energies = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    assert gap_edges(energies, 1.0, 2.0, 2.0) == (-1.0, 1.0)
+    # within 4 eps of the largest |E| an energy counts as on the bulk edge
+    near = np.array([-3.0, -1.0 + 2e-16, 0.0, 1.0 - 2e-16, 2.0])
+    assert gap_edges(near, 1.0, 2.0, 2.0) == (-1.0 + 2e-16, 1.0 - 2e-16)
+    # no level beyond a bulk edge leaves that side nan
+    lower, upper = gap_edges(np.array([-0.5, 0.0, 3.0]), 1.0, 2.0, 2.0)
+    assert math.isnan(lower) and upper == 3.0
+    # a stack of rows with their own V, t1 and t2 is the rows one by one
+    rng = np.random.default_rng(5)
+    stack = np.sort(rng.normal(0.0, 2.0, (6, 9)), axis=1)
+    v, t1, t2 = rng.uniform(0.0, 1.0, (3, 6))
+    lower, upper = gap_edges(stack, v, t1, t2)
+    for r in range(6):
+        np.testing.assert_array_equal([lower[r], upper[r]], gap_edges(stack[r], v[r], t1[r], t2[r]))
+    assert np.isnan([lower, upper]).any()
+
+
 def test_gap_insufficient_modes():
+    # the rule needs eigenvalues only: three levels and E_b = 1 give a gap,
+    # while levels that all lie inside +-E_b, which no Hamiltonian of the
+    # model has, leave both edges nan and no mode in the gap
     roles = SiteRoles(dim=3, portL=1, portR=3, M=2, NL=1, NR=3, Q=3)
-    vecs = np.eye(3, dtype=complex)
-    modes = ModeSet(
-        eigenvalues=np.array([-1.0, 0.0, 1.0], dtype=complex),
-        eigenvectors=vecs,
-        qubit_weight=np.zeros(3),
-        central_weight=np.zeros(3),
-        participation_ratio=np.ones(3),
-        localized=np.zeros(3, dtype=bool),
-        roles=roles,
-    )
     params = ModelParams(p=1, V=1.0, t1=1.0, t2=1.0, tQ=0.0, VQ=0.0)
-    with pytest.raises(InsufficientModesError):
-        band_gap(modes, params)
+
+    def toy(energies):
+        return ModeSet(
+            eigenvalues=np.array(energies, dtype=complex),
+            eigenvectors=np.eye(3, dtype=complex),
+            qubit_weight=np.zeros(3),
+            central_weight=np.zeros(3),
+            roles=roles,
+        )
+
+    gap = band_gap(toy([-1.0, 0.0, 1.0]), params)
+    assert (gap.lower, gap.upper, gap.in_gap_mode_indices) == (-1.0, 1.0, [1])
+    gap = band_gap(toy([-0.5, 0.0, 0.5]), params)
+    assert math.isnan(gap.lower) and math.isnan(gap.upper) and gap.in_gap_mode_indices == []
+
+
+PRESETS = {
+    "fig1": ModelParams(p=10, V=37.5, t1=120.0, t2=150.0, tQ=62.5, VQ=-37.5),
+    "fig3/fig4": ModelParams(p=4, V=40.0, t1=230.0, t2=280.0, tQ=130.0, VQ=17.6, VM=590.0),
+    "fig5": ModelParams(p=4, V=40.0, t1=230.0, t2=280.0, tQ=130.0, VQ=-40.0, VM=590.0),
+}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_bulk_rule_matches_the_heuristic_on_the_presets(name):
+    # far-detuned, and with the qubit at the preset VQ and at -VQ
+    base = PRESETS[name]
+    for params in (base.far_detuned(), base, base.with_(VQ=-base.VQ)):
+        modes = eigenmodes(build_hamiltonian(params))
+        gap = band_gap(modes, params)
+        lower, upper, inside, degenerate = heuristic_mode_gap(modes, params)
+        assert (gap.lower, gap.upper, gap.in_gap_mode_indices) == (lower, upper, inside)
+        assert not degenerate
+
+
+def test_bulk_rule_matches_the_heuristic_where_it_takes_band_modes_as_edges():
+    # The heuristic disagrees where it takes an in-gap mode as an edge (a
+    # defect state whose participation ratio is above half the median), where
+    # it drops a band mode near a bulk edge as localized, or where it picks
+    # the widest interval away from the gap. Where its edges are band modes,
+    # |E| >= E_b on either side of the gap, with no band mode between them,
+    # the two agree, and the bulk rule always finds both edges.
+    rng = np.random.default_rng(20240817)
+    agree = 0
+    for _ in range(600):
+        p = int(rng.integers(1, 9))
+        V, VM = rng.uniform(-100.0, 100.0), rng.uniform(-600.0, 600.0)
+        t1, t2 = rng.uniform(10.0, 300.0, 2)
+        params = ModelParams(p=p, V=V, t1=t1, t2=t2, tQ=50.0, VQ=0.0, VM=VM).far_detuned()
+        modes = eigenmodes(build_hamiltonian(params))
+        gap = band_gap(modes, params)
+        assert math.isfinite(gap.lower) and math.isfinite(gap.upper)
+        old = heuristic_mode_gap(modes, params)
+        if old is None:
+            continue
+        e = modes.eigenvalues.real
+        e_b = math.hypot(V, t1 - t2)
+        tol = 4 * np.finfo(float).eps * np.abs(e).max()
+        band = (np.abs(e) >= e_b - tol) & (modes.qubit_weight < 0.5)
+        between = band & (e > old[0]) & (e < old[1])
+        if old[0] <= -e_b + tol and old[1] >= e_b - tol and not between.any():
+            assert (gap.lower, gap.upper, gap.in_gap_mode_indices) == tuple(old[:3])
+            agree += 1
+    assert agree >= 300
 
 
 def test_coupling_flags_alternate_at_v_zero():
