@@ -11,7 +11,8 @@ import time
 
 # ricemele before numpy: it sets OpenBLAS to one thread before numpy loads
 from ricemele import FitObservations, ModelParams, bootstrap_fit
-from ricemele.fitting import Peak, PeakSet, model_anticrossing_gap, model_peak_frequencies
+from ricemele.fitting import model_anticrossing_gap, model_peak_frequencies
+from ricemele.model import Peak, PeakSet
 
 import numpy as np
 

@@ -19,14 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _OPENBLAS_THREADS_READ, __version__
-from .errors import (
-    DataFormatError,
-    NotFoundError,
-    NumericalError,
-    ParameterError,
-    RiceMeleError,
-)
-from .model import ModelParams, build_hamiltonian, parse_config, read_csv, read_text
+from .errors import DataFormatError, NotFoundError, NumericalError, ParameterError, RiceMeleError
+from .model import ModelParams, Peak, PeakSet, build_hamiltonian, parse_config, read_csv, read_text
 
 PRESETS = {
     # ideal chain: two in-gap states, unidirectional at VQ = -V and +V
@@ -188,19 +182,16 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path) -> list:
 
 def cmd_scatter(cfg: RunConfig, outdir: Path) -> list:
     """Transmission/LDOS maps plus a far-detuned peak report."""
-    from .fitting import extract_peaks
     from .scattering import (
-        MAP_KINDS, resonance_grid, transmission_map, write_map_csv, write_map_header_json,
+        MAP_KINDS, extract_peaks, resonance_grid, transmission_map, write_map_csv,
+        write_map_header_json,
     )
 
     params = cfg.model()
     vq_grid = cfg.grid("VQ")
     far = params.far_detuned()
     far_grid = resonance_grid(far, cfg.integer("E_points", 2001))
-    if "E_start" in cfg.raw and "E_stop" in cfg.raw:
-        e_grid = cfg.grid("E")
-    else:
-        e_grid = far_grid
+    e_grid = cfg.grid("E") if "E_start" in cfg.raw and "E_stop" in cfg.raw else far_grid
     kind = cfg.text("map_kind", "S_RL")
     kinds = list(MAP_KINDS[:4]) if kind == "all" else [kind]
 
@@ -298,8 +289,6 @@ def _finite_fields(path, line: int, row: list, n: int, what: str) -> list:
 
 
 def _read_peaks_csv(path) -> PeakSet:
-    from .fitting import Peak, PeakSet
-
     header, rows = read_csv(path)
     if header is None or [c.strip() for c in header[:3]] != ["flux_or_VQ", "frequency_MHz", "amplitude"]:
         raise DataFormatError(f"{path}: expected header flux_or_VQ,frequency_MHz,amplitude", line=1)

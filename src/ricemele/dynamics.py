@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, NotFoundError, NumericalError, ParameterError
-from .model import (
-    RAD_PER_NS_PER_MHZ,
-    LabeledHamiltonian,
-    ModelParams,
-    build_hamiltonian,
-    read_csv,
-)
+from .model import RAD_PER_NS_PER_MHZ, LabeledHamiltonian, ModelParams, build_hamiltonian, read_csv
 from .spectral import BandGap, eigenmodes, far_detuned_gap, in_gap_indices
 
 # eigenvector matrices worse-conditioned than this are treated as defective:
@@ -262,11 +256,15 @@ def integrated_port_emission(trace: TimeTrace) -> tuple[float, float]:
     return wl, wr
 
 
+# rows per format call of write_trace_csv
+TRACE_BLOCK_ROWS = 256
+
+
 def write_trace_csv(path, trace: TimeTrace) -> None:
     """CSV with t_ns followed by one re/im column pair per channel.
 
-    Row by row, one format call each, in csv.writer's dialect (comma
-    separated, CRLF line ends); only the header can need csv quoting.
+    One % call per block of TRACE_BLOCK_ROWS rows, in csv.writer's dialect
+    (comma separated, CRLF line ends); only the header can need csv quoting.
     """
     names = list(trace.channels)
     columns = [np.asarray(trace.t_grid, dtype=float)]
@@ -274,14 +272,12 @@ def write_trace_csv(path, trace: TimeTrace) -> None:
         z = np.asarray(trace.channels[name], dtype=complex)
         columns += [z.real, z.imag]
     table = np.column_stack(columns)
-    row_format = ",".join(["{:.10g}"] * len(columns)) + "\r\n"
+    row_format = ",".join(["%.10g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        header = ["t_ns"]
-        for name in names:
-            header += [f"{name}_re", f"{name}_im"]
-        csv.writer(fh).writerow(header)
-        for row in table:
-            fh.write(row_format.format(*row.tolist()))
+        csv.writer(fh).writerow(["t_ns"] + [f"{n}_{part}" for n in names for part in ("re", "im")])
+        for start in range(0, len(table), TRACE_BLOCK_ROWS):
+            block = table[start:start + TRACE_BLOCK_ROWS]
+            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_trace_csv(path) -> TimeTrace:

@@ -1,4 +1,4 @@
-"""Peak extraction and Hamiltonian parameter fitting with bootstrap intervals.
+"""Hamiltonian parameter fitting with bootstrap intervals.
 
 The fit runs in two stages, mirroring how the spectra constrain the model:
 far-detuned transmission peaks pin the waveguide parameters (t1, t2, V, VM)
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .model import (
-    ModelParams, _waveguide_tridiagonal, gap_edges, median, percentile, site_roles,
+    ModelParams, PeakSet, _waveguide_tridiagonal, gap_edges, median, percentile, site_roles,
 )
 
 STAGE1_FREE = ("t1", "t2", "V", "VM")
@@ -66,25 +66,6 @@ EPS = np.finfo(float).eps
 # secular-equation iterations before a root is taken where its bracket has
 # shrunk to; bisection alone halves a bracket of 1e4 MHz to rounding in 60
 SECULAR_MAX_ITER = 64
-
-
-@dataclass(frozen=True)
-class Peak:
-    flux_or_vq: float
-    frequency: float   # MHz
-    amplitude: float
-
-
-@dataclass(frozen=True)
-class PeakSet:
-    peaks: list
-    source: str = ""
-
-    def frequencies(self) -> np.ndarray:
-        return np.array([p.frequency for p in self.peaks])
-
-    def __len__(self) -> int:
-        return len(self.peaks)
 
 
 @dataclass(frozen=True)
@@ -118,72 +99,6 @@ class FitResult:
                 "std": self.std.get(name),
             }
         return table
-
-
-def _prominent_maxima(y: np.ndarray, min_prominence: float) -> np.ndarray:
-    """Indices of the interior local maxima of y with at least min_prominence.
-
-    A maximum is a run of equal samples whose neighbours on both sides are
-    strictly lower; a run that touches either end of y is not one. The run
-    counts once, at its midpoint (rounded down). Its prominence is its height
-    above the higher of its two bases, a base being the lowest sample between
-    the maximum and the nearest strictly higher sample on that side, or the
-    end of y if there is none. These are the indices
-    scipy.signal.find_peaks(y, prominence=min_prominence) returns.
-    """
-    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
-    ends = np.r_[starts[1:], y.size] - 1
-    v = y[starts]
-    k = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
-    peaks = (starts[k] + ends[k]) // 2
-    keep = np.empty(peaks.size, dtype=bool)
-    for j, i in enumerate(peaks):
-        higher = np.flatnonzero(y > y[i])
-        k = np.searchsorted(higher, i)
-        lo = higher[k - 1] + 1 if k else 0
-        hi = higher[k] if k < higher.size else y.size
-        keep[j] = y[i] - max(y[lo:i].min(), y[i:hi].min()) >= min_prominence
-    return peaks[keep]
-
-
-def extract_peaks(
-    energies,
-    amplitudes,
-    min_prominence: float,
-    flux_or_vq: float = 0.0,
-    source: str = "",
-) -> PeakSet:
-    """Local maxima with the requested prominence, parabolically refined.
-
-    The maxima and their prominences follow _prominent_maxima. The three
-    samples around each maximum fix a parabola whose vertex gives the
-    sub-sample peak position and height. The vertex can lie above the
-    largest sample, so the reported amplitude can exceed every measured
-    value: on resonances sharper than a parabola over the grid spacing,
-    |S_RL| peaks come out above 1 (up to 1.0116 on the fig4 preset).
-    """
-    x = np.asarray(energies, dtype=float)
-    y = np.asarray(amplitudes, dtype=float)
-    if x.size != y.size:
-        raise ParameterError("energies and amplitudes must have equal length")
-    if x.size < 3:
-        raise ParameterError("need at least 3 samples to find peaks")
-    if not np.all(np.isfinite(y)):
-        raise ParameterError("amplitudes must be finite")
-
-    peaks = []
-    for i in _prominent_maxima(y, min_prominence):
-        d2 = y[i - 1] - 2.0 * y[i] + y[i + 1]
-        if d2 < 0:
-            shift = 0.5 * (y[i - 1] - y[i + 1]) / d2
-            shift = float(np.clip(shift, -0.5, 0.5))
-        else:
-            shift = 0.0
-        step = 0.5 * (x[i + 1] - x[i - 1])
-        freq = x[i] + shift * step
-        amp = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
-        peaks.append(Peak(flux_or_vq=float(flux_or_vq), frequency=float(freq), amplitude=float(amp)))
-    return PeakSet(peaks=peaks, source=source)
 
 
 def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, vectors: bool = False):

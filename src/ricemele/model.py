@@ -163,6 +163,25 @@ def site_roles(p: int) -> SiteRoles:
 
 
 @dataclass(frozen=True)
+class Peak:
+    flux_or_vq: float
+    frequency: float   # MHz
+    amplitude: float
+
+
+@dataclass(frozen=True)
+class PeakSet:
+    peaks: list
+    source: str = ""
+
+    def frequencies(self) -> np.ndarray:
+        return np.array([p.frequency for p in self.peaks])
+
+    def __len__(self) -> int:
+        return len(self.peaks)
+
+
+@dataclass(frozen=True)
 class LabeledHamiltonian:
     """Dense Hamiltonian (MHz) plus the site labels it was built with."""
 
@@ -254,21 +273,9 @@ def _format_decimal(x: float) -> str:
 def params_to_config(params: ModelParams) -> str:
     """Serialize to the flat key-value config format, one 'key = value' per line."""
     sl, sr = complex(params.sigmaL), complex(params.sigmaR)
-    values = {
-        "p": str(params.p),
-        "V": _format_decimal(params.V),
-        "t1": _format_decimal(params.t1),
-        "t2": _format_decimal(params.t2),
-        "tQ": _format_decimal(params.tQ),
-        "VQ": _format_decimal(params.VQ),
-        "VM": _format_decimal(params.VM),
-        "sigmaL_re": _format_decimal(sl.real),
-        "sigmaL_im": _format_decimal(sl.imag),
-        "sigmaR_re": _format_decimal(sr.real),
-        "sigmaR_im": _format_decimal(sr.imag),
-        "f0": _format_decimal(params.f0),
-    }
-    return "".join(f"{k} = {values[k]}\n" for k in CONFIG_KEYS)
+    ports = dict(sigmaL_re=sl.real, sigmaL_im=sl.imag, sigmaR_re=sr.real, sigmaR_im=sr.imag)
+    values = {k: ports[k] if k in ports else getattr(params, k) for k in CONFIG_KEYS}
+    return "".join(f"{k} = {v if k == 'p' else _format_decimal(v)}\n" for k, v in values.items())
 
 
 def read_text(path) -> str:

@@ -1,4 +1,5 @@
-"""Green's-function two-port scattering and local density of states."""
+"""Green's-function two-port scattering, LDOS maps in O(p) per energy with
+their dense point oracles, and the peaks of a transmission spectrum."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import LabeledHamiltonian, ModelParams, build_hamiltonian, unique
+from .model import (LabeledHamiltonian, ModelParams, Peak, PeakSet, _waveguide_tridiagonal,
+                    build_hamiltonian, site_roles, unique)
 
 
 @dataclass(frozen=True)
@@ -51,13 +53,12 @@ def greens_function(H: LabeledHamiltonian, E: float) -> np.ndarray:
         raise NumericalError(f"(E*I - H) singular at E = {E} MHz") from exc
 
 
-def _port_columns(H: LabeledHamiltonian, E: float) -> np.ndarray:
-    """Columns of G(E) at the two port sites, cheaper than the full inverse."""
+def _columns(H: LabeledHamiltonian, E: float, sites: list) -> np.ndarray:
+    """Columns of G(E) at the 1-based sites, cheaper than the full inverse."""
     n = H.matrix.shape[0]
     a = E * np.eye(n, dtype=complex) - H.matrix
-    rhs = np.zeros((n, 2), dtype=complex)
-    rhs[H.roles.portL - 1, 0] = 1.0
-    rhs[H.roles.portR - 1, 1] = 1.0
+    rhs = np.zeros((n, len(sites)), dtype=complex)
+    rhs[np.subtract(sites, 1), np.arange(len(sites))] = 1.0
     try:
         return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
@@ -76,7 +77,7 @@ def s_matrix(params: ModelParams, E: float, H: LabeledHamiltonian = None) -> SMa
         raise ParameterError("both ports must be lossy: Im(sigma) < 0")
     if H is None:
         H = build_hamiltonian(params, include_ports=True)
-    g = _port_columns(H, E)
+    g = _columns(H, E, [H.roles.portL, H.roles.portR])
     il, ir = H.roles.portL - 1, H.roles.portR - 1
     root = np.sqrt(gamma_l * gamma_r)
     return SMatrixPoint(
@@ -95,18 +96,59 @@ def ldos(params: ModelParams, E: float, site: int, H: LabeledHamiltonian = None)
     n = H.matrix.shape[0]
     if not 1 <= site <= n:
         raise ParameterError(f"site must be in 1..{n}, got {site}")
-    a = E * np.eye(n, dtype=complex) - H.matrix
-    rhs = np.zeros(n, dtype=complex)
-    rhs[site - 1] = 1.0
-    try:
-        g_col = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"(E*I - H) singular at E = {E} MHz") from exc
-    return float(-g_col[site - 1].imag / np.pi)
+    return float(-_columns(H, E, [site])[site - 1, 0].imag / np.pi)
 
 
-# probe energies per stacked solve of the qubit-free chain in transmission_map
+# probe energies per block of transmission_map's (E, VQ) qubit fold
 E_BLOCK = 128
+# stands in for an exact zero pivot of _half_chain's continued fractions
+PIVOT_FLOOR = 1e-200
+
+
+def _half_chain(e: np.ndarray, diag: np.ndarray, bonds: np.ndarray):
+    """(g, sigma, t) of the chain segment on one side of M, port at site 0
+    and bonds[k] from site k to k + 1, the last one to M. The continued
+    fraction dL_k = a_k - b_{k-1}^2 / dL_{k-1} (a_k = E - diag_k) from the
+    port gives the self-energy sigma on M and the transfer t = prod b_k / dL_k
+    (G0_aM = t G0_MM); the one from M gives the segment's own g at the port.
+    A zero pivot (a port-free piece with a level at E, as E = 0 with
+    V = VM = 0) becomes PIVOT_FLOOR, as in Lentz's method."""
+    dl, t = e - diag[0], 1.0
+    for k, bond in enumerate(bonds):
+        dl[dl == 0] = PIVOT_FLOOR
+        step = bond / dl
+        t = t * step
+        if k + 1 < len(diag):
+            dl = e - diag[k + 1] - bond * step
+    dr = e - diag[-1]
+    for k in range(len(diag) - 2, -1, -1):
+        dr[dr == 0] = PIVOT_FLOOR
+        dr = e - diag[k] - bonds[k] ** 2 / dr
+    return 1.0 / dr, bonds[-1] * step, t
+
+
+def _chain_greens(params: ModelParams, e: np.ndarray) -> np.ndarray:
+    """The (portL, portR, M) block of G0 = (E - H0)^-1, the port-dressed chain
+    without the qubit, at the energies e, shape (len(e), 3, 3): the recursive
+    Green's function of Lee & Fisher (PRL 47, 882 (1981)). M splits the
+    chain, so with each side's _half_chain, G0_MM = 1 / (E - VM - sigma_L -
+    sigma_R) and G0_ab = delta_ab g_a + t_a t_b G0_MM (t_M = 1): one G0_MM
+    in every entry. NumericalError where it is singular (t1 = 0, E == VM)."""
+    d, b = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
+    d = d.astype(complex)
+    d[[0, -1]] += params.sigmaL, params.sigmaR
+    m = site_roles(params.p).M - 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g_l, sigma_l, t_l = _half_chain(e, d[:m], b[:m])
+        g_r, sigma_r, t_r = _half_chain(e, d[:m:-1], b[:m - 1:-1])
+        t = np.stack([t_l, t_r, np.ones_like(t_l)], axis=1)
+        g0 = t[:, :, None] * t[:, None, :] / (e - d[m] - sigma_l - sigma_r)[:, None, None]
+        g0[:, 0, 0] += g_l
+        g0[:, 1, 1] += g_r
+    bad = ~np.isfinite(g0).all(axis=(1, 2))
+    if bad.any():
+        raise NumericalError(f"(E*I - H0) singular at E = {e[bad][0]} MHz")
+    return g0
 
 
 def transmission_map(params: ModelParams, E_grid, VQ_grid, kind: str = "S_RL") -> SpectrumMap:
@@ -115,9 +157,10 @@ def transmission_map(params: ModelParams, E_grid, VQ_grid, kind: str = "S_RL") -
     The qubit couples only to the central site M, so it folds exactly into
     the Green's function G0 of the port-dressed chain without it:
     G_ab = G0_ab + f G0_aM G0_Mb with f = tQ^2 / (E - VQ - tQ^2 G0_MM).
-    G0's (portL, portR, M) columns come from one stacked solve per block of
-    E_BLOCK energies; the VQ axis is a broadcast. The amplitudes then follow
-    from the Fisher-Lee relation of s_matrix, and LDOS is -Im G_LL / pi.
+    G0's (portL, portR, M) block comes from _chain_greens for the whole E
+    grid; the fold runs on blocks of E_BLOCK energies, with the VQ axis a
+    broadcast. The amplitudes then follow from the Fisher-Lee relation of
+    s_matrix, and LDOS is -Im G_LL / pi.
 
     The stored E axis carries the global offset f0 so maps line up with lab
     spectra; the model itself is evaluated at the offset-free energies.
@@ -133,26 +176,15 @@ def transmission_map(params: ModelParams, E_grid, VQ_grid, kind: str = "S_RL") -
     if kind != "LDOS" and (gamma_l <= 0 or gamma_r <= 0):
         raise ParameterError("both ports must be lossy: Im(sigma) < 0")
 
-    H = build_hamiltonian(params, include_ports=True)
-    r = H.roles
-    n = r.portR
-    h0 = H.matrix[:n, :n]
-    picks = [r.portL - 1, r.portR - 1, r.M - 1]
-    rhs = np.zeros((n, 3), dtype=complex)
-    rhs[picks, [0, 1, 2]] = 1.0
-    # (row, column) of G in the (L, R, M) columns; S_LR uses G_RL, G is symmetric
+    # (row, column) of G in the (L, R, M) block; S_LR uses G_RL, G is symmetric
     a, b = {"S_LL": (0, 0), "S_LR": (1, 0), "S_RL": (1, 0), "S_RR": (1, 1), "LDOS": (0, 0)}[kind]
     tq2 = params.tQ ** 2
 
+    g0_grid = _chain_greens(params, e_grid)
     values = np.empty((e_grid.size, vq_grid.size))
     for start in range(0, e_grid.size, E_BLOCK):
         block = slice(start, start + E_BLOCK)
-        e = e_grid[block]
-        try:
-            g0 = np.linalg.solve(e[:, None, None] * np.eye(n) - h0, rhs)[:, picks, :]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"(E*I - H0) singular for E in [{e[0]}, {e[-1]}] MHz") from exc
+        e, g0 = e_grid[block], g0_grid[block]
         den = e[:, None] - vq_grid[None, :] - tq2 * g0[:, 2, 2, None]
         if np.any(den == 0):
             i, j = np.argwhere(den == 0)[0]
@@ -200,15 +232,19 @@ def write_map_csv(path, smap: SpectrumMap) -> None:
     round-trip form so the dense resonance_grid windows read back exactly.
 
     The bytes are those of csv.writer (no field needs quoting, rows end in
-    \r\n). Each VQ and each E is formatted once, and each E's rows go out as
-    one string; the whole text is never held at once, to keep peak memory flat.
+    \r\n). Each E's rows go out as one string from one % call on a template
+    with the VQ texts baked in; rows are streamed one E at a time, so the
+    whole text is never held at once, to keep peak memory flat.
     """
-    vq_txt = [f"{vq:.10g}" for vq in smap.VQ_grid]
+    n_vq = len(smap.VQ_grid)
+    template = "".join([f"%s,{vq:.10g},%.10g\r\n" for vq in smap.VQ_grid])
+    fields = [None] * (2 * n_vq)
     with open(path, "w", newline="") as fh:
         fh.write("E_MHz,VQ_MHz,value\r\n")
         for e, row in zip(smap.E_grid.tolist(), smap.values):
-            head = repr(e).removesuffix(".0") + ","
-            fh.write("".join([f"{head}{vq},{x:.10g}\r\n" for vq, x in zip(vq_txt, row.tolist())]))
+            fields[0::2] = [repr(e).removesuffix(".0")] * n_vq
+            fields[1::2] = row.tolist()
+            fh.write(template % tuple(fields))
 
 
 def write_map_header_json(path, smap: SpectrumMap, csv_name: str) -> None:
@@ -225,3 +261,64 @@ def write_map_header_json(path, smap: SpectrumMap, csv_name: str) -> None:
     with open(path, "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _prominent_maxima(y: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the interior local maxima of y with at least min_prominence.
+
+    A maximum is a run of equal samples whose neighbours on both sides are
+    strictly lower; a run that touches either end of y is not one. The run
+    counts once, at its midpoint (rounded down). Its prominence is its height
+    above the higher of its two bases, a base being the lowest sample between
+    the maximum and the nearest strictly higher sample on that side, or the
+    end of y if there is none. These are the indices
+    scipy.signal.find_peaks(y, prominence=min_prominence) returns.
+    """
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    ends = np.r_[starts[1:], y.size] - 1
+    v = y[starts]
+    k = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[k] + ends[k]) // 2
+    keep = np.empty(peaks.size, dtype=bool)
+    for j, i in enumerate(peaks):
+        higher = np.flatnonzero(y > y[i])
+        k = np.searchsorted(higher, i)
+        lo = higher[k - 1] + 1 if k else 0
+        hi = higher[k] if k < higher.size else y.size
+        keep[j] = y[i] - max(y[lo:i].min(), y[i:hi].min()) >= min_prominence
+    return peaks[keep]
+
+
+def extract_peaks(
+    energies,
+    amplitudes,
+    min_prominence: float,
+    flux_or_vq: float = 0.0,
+    source: str = "",
+) -> PeakSet:
+    """Local maxima with the requested prominence, parabolically refined.
+
+    The maxima and their prominences follow _prominent_maxima. The three
+    samples around each maximum fix a parabola whose vertex gives the
+    sub-sample peak position and height. The vertex can lie above the
+    largest sample, so the reported amplitude can exceed every measured
+    value: on resonances sharper than a parabola over the grid spacing,
+    |S_RL| peaks come out above 1 (up to 1.0116 on the fig4 preset).
+    """
+    x = np.asarray(energies, dtype=float)
+    y = np.asarray(amplitudes, dtype=float)
+    if x.size != y.size:
+        raise ParameterError("energies and amplitudes must have equal length")
+    if x.size < 3:
+        raise ParameterError("need at least 3 samples to find peaks")
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("amplitudes must be finite")
+
+    peaks = []
+    for i in _prominent_maxima(y, min_prominence):
+        d2 = y[i - 1] - 2.0 * y[i] + y[i + 1]
+        shift = float(np.clip(0.5 * (y[i - 1] - y[i + 1]) / d2, -0.5, 0.5)) if d2 < 0 else 0.0
+        freq = x[i] + shift * (0.5 * (x[i + 1] - x[i - 1]))
+        amp = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
+        peaks.append(Peak(flux_or_vq=float(flux_or_vq), frequency=float(freq), amplitude=float(amp)))
+    return PeakSet(peaks=peaks, source=source)

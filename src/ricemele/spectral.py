@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,23 +143,20 @@ def sweep_qubit_energy(params: ModelParams, VQ_grid) -> QubitSweep:
 def write_sweep_csv(path, sweep: QubitSweep) -> None:
     """Long-form CSV: VQ_MHz, mode_index, re_E_MHz, im_E_MHz, weights, in_gap.
 
-    One format call per mode row, streamed one VQ point at a time, in
-    csv.writer's dialect (comma separated, CRLF line ends). The integer
-    columns go through %g as exact small floats, so they print as integers.
+    One % call per VQ point for all its mode rows, streamed one VQ point at
+    a time, in csv.writer's dialect (comma separated, CRLF line ends). The
+    integer columns go through %g as exact small floats, so they print as
+    integers.
     """
     n_modes = sweep.eigenvalues.shape[1]
     mode_index = np.arange(n_modes, dtype=float)
-    row_format = ",".join(["{:.10g}"] * 7) + "\r\n"
+    block_format = (",".join(["%.10g"] * 7) + "\r\n") * n_modes
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(
-            ["VQ_MHz", "mode_index", "re_E_MHz", "im_E_MHz",
-             "qubit_weight", "central_weight", "in_gap"]
-        )
+        fh.write("VQ_MHz,mode_index,re_E_MHz,im_E_MHz,qubit_weight,central_weight,in_gap\r\n")
         for i, vq in enumerate(np.asarray(sweep.vq_grid, dtype=float)):
             e = sweep.eigenvalues[i]
             block = np.column_stack([
                 np.full(n_modes, vq), mode_index, e.real, e.imag,
                 sweep.qubit_weight[i], sweep.central_weight[i], sweep.in_gap[i],
             ])
-            for row in block:
-                fh.write(row_format.format(*row.tolist()))
+            fh.write(block_format % tuple(block.ravel().tolist()))

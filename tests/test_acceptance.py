@@ -40,7 +40,8 @@ from ricemele import (
     s_matrix,
 )
 from ricemele.edge_states import bidirectional_point
-from ricemele.fitting import Peak, PeakSet, model_anticrossing_gap, model_peak_frequencies
+from ricemele.fitting import model_anticrossing_gap, model_peak_frequencies
+from ricemele.model import Peak, PeakSet
 
 from conftest import best_quadrature
 

@@ -21,9 +21,10 @@ from ricemele import (
     s_matrix,
 )
 from ricemele.fitting import (
-    FIT_NAMES, STAGE1_FREE, _GapModel, _prominent_maxima, _tq_bound, waveguide_eigenvalues,
+    FIT_NAMES, STAGE1_FREE, _GapModel, _tq_bound, waveguide_eigenvalues,
 )
 from ricemele.model import build_hamiltonian
+from ricemele.scattering import _prominent_maxima
 
 from conftest import heuristic_block_gap
 

@@ -202,8 +202,8 @@ def test_cli_import_loads_only_errors_and_model(tmp_path):
 @pytest.mark.parametrize("args, unused", [
     (["spectrum", "--preset", "fig1"], {"fitting", "scattering", "dynamics", "sigproc"}),
     (["emit", "--preset", "fig5"], {"fitting", "scattering", "sigproc"}),
-    (["scatter", "--preset", "fig3"], {"dynamics", "edge_states", "sigproc"}),
-    (["scatter", "--preset", "fig4"], {"dynamics", "edge_states", "sigproc"}),
+    (["scatter", "--preset", "fig3"], {"fitting", "dynamics", "edge_states", "sigproc"}),
+    (["scatter", "--preset", "fig4"], {"fitting", "dynamics", "edge_states", "sigproc"}),
     (["chi", "--preset", "appc"], {"fitting", "scattering"}),
     ("traces", {"fitting", "scattering"}),
     ("fit", {"spectral", "scattering", "dynamics", "sigproc", "edge_states"}),

@@ -84,6 +84,82 @@ def test_map_matches_dense_point_oracle(p, t1, t2, v, vm, tq, vq, dvq, sigma_l, 
         assert np.max(np.abs(fast - dense[kind])) <= 1e-7 * scale, kind
 
 
+_LONG_CHAIN = dict(
+    p=st.integers(1, 50),
+    t1=st.floats(20.0, 300.0),
+    t2=st.floats(20.0, 300.0),
+    v=st.floats(-100.0, 100.0),
+    vm=st.floats(-300.0, 300.0),
+    tq=st.floats(1.0, 200.0),
+    vq=st.floats(-500.0, 500.0),
+    sigma_l=st.tuples(st.floats(-20.0, 20.0), st.floats(0.5, 40.0)),
+    sigma_r=st.tuples(st.floats(-20.0, 20.0), st.floats(0.5, 40.0)),
+    band=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+)
+
+
+def _long_chain(p, t1, t2, v, vm, tq, vq, sigma_l, sigma_r, band):
+    """Parameters, four energies in the bulk bands between sqrt(V^2 +
+    (t1 - t2)^2) and sqrt(V^2 + (t1 + t2)^2) in magnitude, and three in the
+    gap between them: its centre and 0.1 and -0.3 of its half width."""
+    params = ModelParams(p=p, V=v, t1=t1, t2=t2, tQ=tq, VQ=vq, VM=vm,
+                         sigmaL=complex(sigma_l[0], -sigma_l[1]),
+                         sigmaR=complex(sigma_r[0], -sigma_r[1]))
+    eb, top = np.hypot(v, t1 - t2), np.hypot(v, t1 + t2)
+    bands = (eb + (top - eb) * np.array(band)) * np.array([-1.0, -1.0, 1.0, 1.0])
+    return params, bands, eb * np.array([0.0, 0.1, -0.3]) if eb > 0 else np.array([])
+
+
+def _clear_of_levels(params, energies, vq_grid):
+    """The energies at least 1 MHz from every level of the closed chain at
+    each VQ. A state deep in the gap (at M, or at a qubit level) can be
+    narrower than 1e-14 MHz, and on it the dense solve loses every digit:
+    at p = 34 with VM = 0 and E = 0, s_matrix gives |S_RL| = 1.8e-24, an
+    80-digit solve 0.9765 and transmission_map 0.9770."""
+    levels = np.concatenate([np.linalg.eigvalsh(build_hamiltonian(params.with_(VQ=float(vq))).matrix)
+                             for vq in vq_grid])
+    return energies[np.min(np.abs(energies[:, None] - levels), axis=1) >= 1.0]
+
+
+# Chains of up to 203 sites (p = 50), off the resonance_grid windows. The
+# bound on |S| and LDOS is that of test_map_matches_dense_point_oracle,
+# since a long chain has sharp resonances too; over 1500 random sets the
+# two agreed to 1.8e-12 on |S| and 3.8e-12 on LDOS. In the gap, where
+# |S_RL| of the bare chain (tQ = 0) is the product of the b/dL factors and
+# fell to 6e-98, they agreed to 2.4e-14 relative; the bound there is 1e-9.
+@settings(max_examples=30, deadline=None)
+@given(**_LONG_CHAIN)
+def test_long_chain_map_matches_dense_point_oracle(**draw):
+    params, bands, gap = _long_chain(**draw)
+    vq_grid = np.array([params.VQ, params.VQ + 17.0])
+    e_grid = np.concatenate([bands, _clear_of_levels(params, gap, vq_grid)])
+    dense = _dense_maps(params, e_grid, vq_grid, MAP_KINDS)
+    for kind in MAP_KINDS:
+        fast = transmission_map(params, e_grid, vq_grid, kind=kind).values
+        scale = np.max(np.abs(dense[kind])) if kind == "LDOS" else 1.0
+        assert np.max(np.abs(fast - dense[kind])) <= 1e-7 * scale, kind
+    # the qubit decoupled and parked above the bands: no transmission zero
+    bare = params.with_(tQ=0.0, VQ=float(np.max(np.abs(bands))) + 100.0)
+    gap = _clear_of_levels(bare, gap, [bare.VQ])
+    if gap.size:
+        fast = transmission_map(bare, gap, [bare.VQ]).values
+        dense = _dense_maps(bare, gap, [bare.VQ], ["S_RL"])["S_RL"]
+        assert np.all(np.abs(fast - dense) <= 1e-9 * dense), (fast, dense)
+
+
+# the lossless interior of test_reciprocity_and_flux_conservation, on the map path
+@settings(max_examples=30, deadline=None)
+@given(**_LONG_CHAIN)
+def test_map_reciprocity_and_flux_conservation(**draw):
+    params, bands, gap = _long_chain(**draw)
+    vq_grid = np.array([params.VQ, -params.VQ])
+    e_grid = np.concatenate([bands, _clear_of_levels(params, gap, vq_grid)])
+    s = {k: transmission_map(params, e_grid, vq_grid, kind=k).values for k in MAP_KINDS[:4]}
+    assert np.array_equal(s["S_LR"], s["S_RL"])
+    np.testing.assert_allclose(s["S_LL"] ** 2 + s["S_RL"] ** 2, 1.0, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(s["S_RR"] ** 2 + s["S_LR"] ** 2, 1.0, rtol=0, atol=1e-8)
+
+
 def test_fig3_preset_map_matches_dense_oracle():
     params, e_grid, vq_grid = _preset_grids("fig3")
     dense = _dense_maps(params, e_grid, vq_grid, ["S_RL"])["S_RL"]
@@ -125,6 +201,18 @@ def test_singular_qubit_free_chain_is_numerical_error(fitted_params):
     e_grid = np.concatenate([np.linspace(0, 500, 200), [params.VM]])
     with pytest.raises(NumericalError):
         transmission_map(params, e_grid, [-40.0, 0.0])
+
+
+def test_zero_pivot_of_a_port_free_piece_matches_dense_oracle():
+    # V = VM = 0: at E = 0 the site next to M, alone, has a level at E, so the
+    # fraction from M toward each port starts on a zero pivot; G is regular
+    params = ModelParams(p=2, V=0.0, t1=100.0, t2=140.0, tQ=50.0, VQ=3.0, VM=0.0,
+                         sigmaL=-10j, sigmaR=-4j)
+    e_grid = np.array([-20.0, 0.0, 20.0])
+    dense = _dense_maps(params, e_grid, [3.0, -7.0], MAP_KINDS)
+    for kind in MAP_KINDS:
+        fast = transmission_map(params, e_grid, [3.0, -7.0], kind=kind).values
+        assert np.max(np.abs(fast - dense[kind])) <= 1e-12, kind
 
 
 def _scatter_cfg(tmp_path, **changes):
