@@ -24,19 +24,18 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "DataFormatError NotFoundError NumericalError ParameterError RiceMeleError",
     "model": """RAD_PER_NS_PER_MHZ LabeledHamiltonian ModelParams Peak PeakSet SiteRoles
-        build_hamiltonian params_from_config params_to_config site_roles""",
+        build_hamiltonian site_roles""",
     "spectral": """BandGap ModeSet QubitSweep band_gap eigenmodes far_detuned_gap
         in_gap_indices sweep_qubit_energy""",
     "edge_states": "DirectionalityReport bidirectional_point directionality working_points",
-    "scattering": """SMatrixPoint SpectrumMap extract_peaks greens_function ldos
-        resonance_grid s_matrix transmission_map""",
+    "scattering": """SMatrixPoint SpectrumMap extract_peaks resonance_grid s_matrix
+        transmission_map""",
     "dynamics": """BlochParams TimeTrace bloch_rabi_trace decay_time dressed_decay_time
         dressed_in_gap_mode evolve_single_excitation infer_port_self_energy
         integrated_port_emission""",
     "fitting": """FitObservations FitResult bootstrap_fit fit_hamiltonian
         model_anticrossing_gap model_peak_frequencies""",
-    "sigproc": """ChiEstimate SignalAmplitudes bootstrap_amplitude chi_estimate
-        demodulate_amplitude""",
+    "sigproc": "ChiEstimate SignalAmplitudes bootstrap_amplitude chi_estimate",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _OPENBLAS_THREADS_READ, __version__
 from .errors import DataFormatError, NotFoundError, NumericalError, ParameterError, RiceMeleError
-from .model import ModelParams, Peak, PeakSet, build_hamiltonian, parse_config, read_csv, read_text
+from .model import ModelParams, Peak, PeakSet, build_hamiltonian, read_csv, read_text
 
 PRESETS = {
     # ideal chain: two in-gap states, unidirectional at VQ = -V and +V
@@ -62,6 +62,33 @@ PRESETS = {
 }
 
 
+def parse_config(text: str, source: str = "") -> dict:
+    """Parse flat 'key = value' lines into a string dict. '#' starts a comment.
+
+    Errors name the line, and source (the file the text came from) if given.
+    Lines end at LF (a CR just before it is dropped), so a reported line
+    exists in the file; str.splitlines would also break at form feeds, NEL,
+    U+2028 and the like.
+    """
+    where = f"{source}: " if source else ""
+    out = {}
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"{where}expected 'key = value', got {raw!r}", line=lineno)
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key or not value:
+            raise DataFormatError(f"{where}empty key or value in {raw!r}", line=lineno)
+        if key in out:
+            raise DataFormatError(f"{where}duplicate key {key!r}", line=lineno)
+        out[key] = value
+    return out
+
+
 class RunConfig:
     """Merged preset/config-file key-value store with typed accessors."""
 
@@ -70,16 +97,15 @@ class RunConfig:
         self.seed = seed
 
     def number(self, key: str, default=None) -> float:
-        if key not in self.raw:
-            if default is None:
-                raise ParameterError(f"config key {key!r} is required")
+        if key not in self.raw and default is not None:
             return default
+        text = self.text(key)
         try:
-            value = float(self.raw[key])
+            value = float(text)
         except ValueError:
-            raise DataFormatError(f"config key {key!r} is not a number: {self.raw[key]!r}") from None
+            raise DataFormatError(f"config key {key!r} is not a number: {text!r}") from None
         if not math.isfinite(value):
-            raise ParameterError(f"config key {key!r} must be finite, got {self.raw[key]!r}")
+            raise ParameterError(f"config key {key!r} must be finite, got {text!r}")
         return value
 
     def integer(self, key: str, default=None) -> int:
@@ -227,7 +253,6 @@ def cmd_emit(cfg: RunConfig, outdir: Path) -> list:
         evolve_single_excitation, integrated_port_emission, write_trace_csv,
     )
     from .edge_states import directionality
-    from .spectral import far_detuned_gap
 
     params = cfg.model()
     t_grid = np.linspace(0.0, cfg.number("t_stop", 1500.0), cfg.integer("t_points", 3001))
@@ -240,7 +265,7 @@ def cmd_emit(cfg: RunConfig, outdir: Path) -> list:
     write_trace_csv(lattice_path, lattice)
     wl, wr = integrated_port_emission(lattice)
 
-    energy, mode = dressed_in_gap_mode(params, far_detuned_gap(params))
+    energy, mode = dressed_in_gap_mode(params)
     t1 = decay_time(energy)
     rep = directionality(mode, H.roles, "left")
     w_left = cfg.number("w_left", rep.pop_left)
@@ -340,6 +365,7 @@ def cmd_chi(cfg: RunConfig, outdir: Path, trace_paths) -> list:
     """
     from .sigproc import SignalAmplitudes, bootstrap_amplitude, chi_estimate
 
+    labels = ("lL", "lR", "rL", "rR")
     if trace_paths:
         from .dynamics import read_trace_csv
 
@@ -347,7 +373,6 @@ def cmd_chi(cfg: RunConfig, outdir: Path, trace_paths) -> list:
             raise ParameterError("--traces needs exactly 4 files: lL lR rL rR")
         f_rabi = cfg.number("rabi_freq")
         n = cfg.integer("n_bootstrap", 1000)
-        labels = ("lL", "lR", "rL", "rR")
         traces = {}
         for label, path in zip(labels, trace_paths):
             trace = read_trace_csv(path)
@@ -365,17 +390,14 @@ def cmd_chi(cfg: RunConfig, outdir: Path, trace_paths) -> list:
                     t, np.stack([traces[label][1] for label in group]), f_rabi,
                     n=n, seed=cfg.seed)
                 amplitude.update(zip(group, zip(means.tolist(), stds.tolist())))
-        amps = SignalAmplitudes(
-            **{f"s_{label}": amplitude[label][0] for label in labels},
-            **{f"std_{label}": amplitude[label][1] for label in labels},
-        )
     else:
-        amps = SignalAmplitudes(
-            s_lL=cfg.number("s_lL"), s_lR=cfg.number("s_lR"),
-            s_rL=cfg.number("s_rL"), s_rR=cfg.number("s_rR"),
-            std_lL=cfg.number("std_lL", 0.0), std_lR=cfg.number("std_lR", 0.0),
-            std_rL=cfg.number("std_rL", 0.0), std_rR=cfg.number("std_rR", 0.0),
-        )
+        means = [cfg.number(f"s_{label}") for label in labels]
+        stds = [cfg.number(f"std_{label}", 0.0) for label in labels]
+        amplitude = dict(zip(labels, zip(means, stds)))
+    amps = SignalAmplitudes(
+        **{f"s_{label}": amplitude[label][0] for label in labels},
+        **{f"std_{label}": amplitude[label][1] for label in labels},
+    )
     est = chi_estimate(amps)
     chi_path = outdir / "chi.json"
     _write_json(chi_path, {

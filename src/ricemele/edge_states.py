@@ -12,9 +12,8 @@ eigenstate with nothing on the other side of M, so working_points returns
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,19 +44,7 @@ class DirectionalityReport:
 
     def as_dict(self) -> dict:
         """JSON-safe dict; infinite chi and chi_dB are encoded as null."""
-        return {
-            "direction": self.direction,
-            "pop_left": self.pop_left,
-            "pop_right": self.pop_right,
-            "pop_M": self.pop_M,
-            "pop_Q": self.pop_Q,
-            "chi": None if math.isinf(self.chi) else self.chi,
-            "chi_dB": None if math.isinf(self.chi_dB) else self.chi_dB,
-            "fidelity": self.fidelity,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        return {k: None if v in (math.inf, -math.inf) else v for k, v in asdict(self).items()}
 
 
 def directionality(mode, roles: SiteRoles, direction: str) -> DirectionalityReport:

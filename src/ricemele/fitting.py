@@ -27,9 +27,11 @@ safeguarded rational iteration. Modes dark at M (tQ |psi_M| below rounding;
 eigensolve of the arrow matrix, the test oracle, the gaps agree to 1e-9 MHz
 and their tQ slopes to 1e-8 relative, wherever rounding does not decide
 whether a level at a gap edge is inside. The gap edges are those of the
-bulk rule model.gap_edges. A bootstrap row takes its gap model from the
-eigenpairs of its own stage-1 solve, and a block of rows its gap edges from
-one gap_edges call on their eigenvalues.
+bulk rule model.gap_edges. Every eigensolve builds its waveguide blocks
+the one way, _waveguide_blocks. Stage 2 takes the block of the point fit's
+best start, or of a bootstrap row, from the eigenpairs of its own stage-1
+solve, and a block of rows its gap edges from one gap_edges call on their
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ from .model import (
 )
 
 STAGE1_FREE = ("t1", "t2", "V", "VM")
-STAGE1_NAMES = STAGE1_FREE + ("f0",)
-FIT_NAMES = STAGE1_NAMES + ("tQ",)
+FIT_NAMES = STAGE1_FREE + ("f0", "tQ")
 
 # bootstrap resamples per batched solve: a block pays numpy's per-call cost
 # once for all its rows and bounds the eigenvector stacks in memory (0.7 MB
@@ -101,86 +102,33 @@ class FitResult:
         return table
 
 
-def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, vectors: bool = False):
-    """Sorted eigenvalues, and with vectors=True the eigenvector columns, of
-    the symmetric tridiagonal matrix with diagonal d and off-diagonal e.
-
-    numpy solves the dense block with LAPACK syevd. Its Householder reduction
-    leaves a tridiagonal matrix as it is and passes it to the solvers that
-    LAPACK dstev uses: sterf for the eigenvalues, so that with the same
-    LAPACK build they equal dstev's bit for bit, and steqr for the
-    eigenvectors up to dimension 25 (p <= 5). Larger blocks take divide and
-    conquer, which agrees to rounding. The sign of each eigenvector is arbitrary; the callers use
-    only its squares and the sign-invariant arrow spectra.
-    """
-    n = len(d)
-    h = np.zeros((n, n))
-    h.flat[::n + 1] = d
-    h.flat[1::n + 1] = h.flat[n::n + 1] = e
-    try:
-        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from None
-
-
-def waveguide_eigenvalues(params: ModelParams) -> np.ndarray:
-    """Sorted eigenvalues (MHz) of the waveguide block, qubit excluded."""
-    d, e = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
-    return _tridiagonal_eigh(d, e)
-
-
-def model_peak_frequencies(params: ModelParams) -> np.ndarray:
-    """Far-detuned transmission peak positions: waveguide eigenvalues + f0."""
-    return waveguide_eigenvalues(params) + params.f0
-
-
-class _GapModel:
-    """Anti-crossing gap sizes with the waveguide block frozen.
-
-    Working in the waveguide eigenbasis turns the full Hamiltonian into an
-    arrow matrix: diag(waveguide eigenvalues, VQ) with the qubit coupled to
-    every waveguide mode by -tQ * (mode amplitude at M). The gap edges are
-    model.gap_edges of the block's eigenvalues unless bounds gives them.
-    """
-
-    def __init__(self, params: ModelParams, bounds: tuple[float, float] = None):
-        d, e = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
-        evals, evecs = _tridiagonal_eigh(d, e, vectors=True)
-        m = site_roles(params.p).M - 1
-        self.evals, self.psi_m = evals, evecs[m, :]
-        if bounds:
-            self.lower, self.upper = bounds
-        else:
-            self.lower, self.upper = (
-                float(x) for x in gap_edges(evals, params.V, params.t1, params.t2))
-
-    def rows(self):
-        """(evals, psi_m, lower, upper) as a stack of one row for _arrow_gaps."""
-        return self.evals[None], self.psi_m[None], np.array([self.lower]), np.array([self.upper])
-
-    def gaps_at(self, tq: float, vqs: np.ndarray) -> np.ndarray:
-        """In-gap level splittings at each qubit energy; nan where < 2 levels."""
-        gaps, _, _ = _arrow_gaps(*self.rows(), np.array([float(tq)]),
-                                 np.asarray(vqs, dtype=float)[None])
-        return gaps[0]
-
-    def gap_at(self, tq: float, vq: float) -> float:
-        return float(self.gaps_at(tq, np.array([float(vq)]))[0])
-
-
-def model_anticrossing_gap(params: ModelParams, vq: float, bounds=None) -> float:
-    """In-gap level splitting at one qubit energy for the given parameters."""
-    value = _GapModel(params, bounds).gap_at(params.tQ, vq)
-    if math.isnan(value):
-        raise ParameterError(f"fewer than 2 in-gap levels at VQ = {vq} MHz")
-    return value
-
-
 def _waveguide_patterns(p: int):
     """The constant matrices A_j of H = t1 A_1 + t2 A_2 + V A_3 + VM A_4 for
     the waveguide block, as diagonals (4, n) and first off-diagonals (4, n-1)."""
     parts = [_waveguide_tridiagonal(p, v, t1, t2, vm) for t1, t2, v, vm in np.eye(4)]
     return np.array([d for d, _ in parts]), np.array([e for _, e in parts])
+
+
+def _waveguide_blocks(patterns, theta: np.ndarray) -> np.ndarray:
+    """The dense waveguide blocks (rows, n, n), one for each row of theta =
+    (t1, t2, V, VM): the one builder behind every eigensolve of the fit.
+
+    Each entry is theta @ patterns, a sum with one nonzero term, so it is
+    exact. A zero entry is +0.0 where model._waveguide_tridiagonal writes
+    -0.0 (-V at V = 0), and eigh may round the two differently.
+    """
+    diag, off = patterns
+    n = diag.shape[1]
+    i = np.arange(n)
+    h = np.zeros((len(theta), n, n))
+    h[:, i, i] = theta @ diag
+    h[:, i[:-1], i[1:]] = h[:, i[1:], i[:-1]] = theta @ off
+    return h
+
+
+def _theta(params: ModelParams) -> np.ndarray:
+    """(t1, t2, V, VM) of params as a stack of one row."""
+    return np.array([[getattr(params, n) for n in STAGE1_FREE]])
 
 
 def _waveguide_spectra(patterns, theta: np.ndarray):
@@ -192,14 +140,35 @@ def _waveguide_spectra(patterns, theta: np.ndarray):
     z_k^T A_j z_k, with z_k the eigenvector the solve already returns.
     """
     diag, off = patterns
-    n = diag.shape[1]
-    i = np.arange(n)
-    h = np.zeros((len(theta), n, n))
-    h[:, i, i] = theta @ diag
-    h[:, i[:-1], i[1:]] = h[:, i[1:], i[:-1]] = theta @ off
-    lam, z = np.linalg.eigh(h)
+    lam, z = np.linalg.eigh(_waveguide_blocks(patterns, theta))
     jac = diag @ z**2 + 2.0 * off @ (z[:, :-1] * z[:, 1:])
     return lam, jac.transpose(0, 2, 1), z
+
+
+def _gap_spectra(lam, z, params: ModelParams, bounds=None):
+    """(evals, psi_m, lower, upper) of _arrow_gaps for one row of waveguide
+    eigenpairs (1, n) and (1, n, n) of params: the gap edges are those of
+    model.gap_edges unless bounds gives them."""
+    lower, upper = bounds or gap_edges(lam, params.V, params.t1, params.t2)
+    return lam, z[:, site_roles(params.p).M - 1], np.atleast_1d(lower), np.atleast_1d(upper)
+
+
+def model_peak_frequencies(params: ModelParams) -> np.ndarray:
+    """Far-detuned transmission peak positions: the sorted eigenvalues of the
+    waveguide block (qubit excluded, eigvalsh) + f0."""
+    h = _waveguide_blocks(_waveguide_patterns(params.p), _theta(params))
+    return np.linalg.eigvalsh(h)[0] + params.f0
+
+
+def model_anticrossing_gap(params: ModelParams, vq: float, bounds=None) -> float:
+    """In-gap level splitting at one qubit energy for the given parameters,
+    between the gap edges bounds or, by default, those of model.gap_edges."""
+    lam, _, z = _waveguide_spectra(_waveguide_patterns(params.p), _theta(params))
+    gaps, _, _ = _arrow_gaps(*_gap_spectra(lam, z, params, bounds),
+                             np.array([float(params.tQ)]), np.array([[float(vq)]]))
+    if math.isnan(gaps[0, 0]):
+        raise ParameterError(f"fewer than 2 in-gap levels at VQ = {vq} MHz")
+    return float(gaps[0, 0])
 
 
 def _stage1_rows(patterns, free, starts, pair_idx, pair_freq, fixed_f0):
@@ -500,13 +469,13 @@ def _tq_bound(tq0, lower, upper):
 def _stage1_params(theta, free, base, pair_idx, pair_freq, fixed_f0):
     """(params, sse) at the stage-1 parameters theta of the free names.
 
-    f0 and the sum of squares are recomputed from one tridiagonal solve
-    rather than taken from the batched solver, whose sum agrees only to
-    rounding.
+    f0 and the sum of squares are recomputed from the eigenvalues of
+    model_peak_frequencies rather than taken from the batched solver, whose
+    sum agrees only to rounding.
     """
     values = dict(zip(free, theta))
     params = base.with_(**{n: float(values.get(n, getattr(base, n))) for n in STAGE1_FREE})
-    model = waveguide_eigenvalues(params)[pair_idx]
+    model = model_peak_frequencies(params.with_(f0=0.0))[pair_idx]
     f0 = float(np.mean(pair_freq - model)) if fixed_f0 is None else fixed_f0
     residuals = pair_freq - model - f0
     return params.with_(f0=float(f0)), float(residuals @ residuals)
@@ -538,11 +507,6 @@ def fit_hamiltonian(
         raise ParameterError(f"cannot fix unknown parameters: {sorted(unknown)}")
     gaps = list(anticrossing_gaps)
 
-    n_free1 = len([n for n in STAGE1_NAMES if n not in fixed])
-    if len(far_detuned_peaks) < n_free1:
-        raise ParameterError(
-            f"{len(far_detuned_peaks)} peaks cannot determine {n_free1} stage-1 parameters"
-        )
     if "tQ" not in fixed and not gaps:
         raise ParameterError("tQ is free but no anti-crossing gaps were provided")
 
@@ -564,31 +528,31 @@ def fit_hamiltonian(
     rng = np.random.default_rng(seed)
     for trial in range(1, rows):
         starts[trial, free_idx] += 0.1 * scale * rng.standard_normal(len(free1))
-    theta, _, sse, converged, _ = _stage1_rows(
+    theta, _, sse, converged, (evals, evecs) = _stage1_rows(
         _waveguide_patterns(initial.p), free_idx, starts,
         np.tile(pair_idx, (rows, 1)), np.tile(freq, (rows, 1)), fixed_f0,
     )
     if not converged.any():
         raise NumericalError(f"stage 1 converged from none of its {rows} starts")
-    best = theta[int(np.argmin(np.where(converged, sse, np.inf))), free_idx]
-    params, sse = _stage1_params(best, free1, initial, pair_idx, freq, fixed_f0)
+    b = int(np.argmin(np.where(converged, sse, np.inf)))
+    params, sse = _stage1_params(theta[b, free_idx], free1, initial, pair_idx, freq, fixed_f0)
 
     if "tQ" not in fixed:
-        model = _GapModel(params)
+        # stage 2 takes the waveguide eigenpairs of the best start from stage 1
+        spectra = _gap_spectra(evals[[b]], evecs[[b]], params)
         vqs = np.array([[g[0] for g in gaps]], dtype=float)
         sizes = np.array([[g[1] for g in gaps]], dtype=float)
-        hi = _tq_bound(initial.tQ, model.lower, model.upper)
-        tq, sse2, ok = _stage2_rows(model.rows(), [initial.tQ], vqs, sizes, np.array([hi]))
+        hi = _tq_bound(initial.tQ, *spectra[2:])
+        tq, sse2, ok = _stage2_rows(spectra, [initial.tQ], vqs, sizes, hi)
         if not ok[0]:
-            missing = np.isnan(model.gaps_at(tq[0], vqs[0]))
+            missing = np.isnan(_arrow_gaps(*spectra, tq, vqs)[0][0])
             if missing.any():
                 raise NumericalError(
                     f"tQ = {tq[0]:.4g} MHz leaves fewer than two in-gap levels at "
                     f"VQ = {vqs[0][missing][0]:.4g} MHz; stage 2 cannot fit the gaps"
                 )
-            raise NumericalError(
-                f"stage 2 did not converge from tQ = {initial.tQ:.4g} MHz in [0, {hi:.4g}] MHz"
-            )
+            raise NumericalError(f"stage 2 did not converge from tQ = {initial.tQ:.4g} MHz "
+                                 f"in [0, {hi[0]:.4g}] MHz")
         params = params.with_(tQ=float(tq[0]))
         sse += float(sse2[0])
     n_obs = n_modes + len(gaps)

@@ -23,10 +23,12 @@ from .errors import DataFormatError, ParameterError
 # angular rate (rad/ns) of a 1 MHz linear frequency
 RAD_PER_NS_PER_MHZ = 2e-3 * np.pi
 
-CONFIG_KEYS = (
-    "p", "V", "t1", "t2", "tQ", "VQ", "VM",
-    "sigmaL_re", "sigmaL_im", "sigmaR_re", "sigmaR_im", "f0",
-)
+# the largest dense (4p+4)^2 complex matrix a ModelParams may ask for, in
+# bytes (p <= 2047): every command builds at least one (build_hamiltonian),
+# and its eigensolves hold a few copies more, so a run stays within a few
+# GiB. The longest chains in use (p = 200) need 10 MiB; at the bound one
+# complex eigh, O(n^3), already takes minutes.
+MAX_MATRIX_BYTES = 2**30
 
 
 def median(values) -> np.ndarray:
@@ -104,6 +106,9 @@ class ModelParams:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if int(self.p) != self.p or self.p < 1:
             raise ParameterError(f"p must be an integer >= 1, got {self.p}")
+        if 16 * (4 * int(self.p) + 4) ** 2 > MAX_MATRIX_BYTES:
+            raise ParameterError(f"p = {self.p}: a dense (4p+4)^2 complex Hamiltonian "
+                                 f"would exceed {MAX_MATRIX_BYTES} bytes")
         for name in ("t1", "t2", "tQ"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -265,19 +270,6 @@ def build_hamiltonian(params: ModelParams, include_ports: bool = False) -> Label
     return LabeledHamiltonian(matrix=h, roles=roles, hermitian=not include_ports)
 
 
-def _format_decimal(x: float) -> str:
-    """Positional decimal notation (no exponent), shortest exact form."""
-    return np.format_float_positional(float(x), trim="-")
-
-
-def params_to_config(params: ModelParams) -> str:
-    """Serialize to the flat key-value config format, one 'key = value' per line."""
-    sl, sr = complex(params.sigmaL), complex(params.sigmaR)
-    ports = dict(sigmaL_re=sl.real, sigmaL_im=sl.imag, sigmaR_re=sr.real, sigmaR_im=sr.imag)
-    values = {k: ports[k] if k in ports else getattr(params, k) for k in CONFIG_KEYS}
-    return "".join(f"{k} = {v if k == 'p' else _format_decimal(v)}\n" for k, v in values.items())
-
-
 def read_text(path) -> str:
     """The contents of a UTF-8 data file.
 
@@ -305,59 +297,3 @@ def read_csv(path):
     except csv.Error as exc:
         raise DataFormatError(f"{path}: {exc}", line=reader.line_num) from None
     return header, rows
-
-
-def parse_config(text: str, source: str = "") -> dict:
-    """Parse flat 'key = value' lines into a string dict. '#' starts a comment.
-
-    Errors name the line, and source (the file the text came from) if given.
-    Lines end at LF (a CR just before it is dropped), so a reported line
-    exists in the file; str.splitlines would also break at form feeds, NEL,
-    U+2028 and the like.
-    """
-    where = f"{source}: " if source else ""
-    out = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        raw = raw.removesuffix("\r")
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"{where}expected 'key = value', got {raw!r}", line=lineno)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise DataFormatError(f"{where}empty key or value in {raw!r}", line=lineno)
-        if key in out:
-            raise DataFormatError(f"{where}duplicate key {key!r}", line=lineno)
-        out[key] = value
-    return out
-
-
-def params_from_config(text: str) -> ModelParams:
-    """Deserialize ModelParams from the flat key-value config format."""
-    raw = parse_config(text)
-    required = ("p", "V", "t1", "t2", "tQ", "VQ", "VM")
-    missing = [k for k in required if k not in raw]
-    if missing:
-        raise DataFormatError(f"missing required keys: {', '.join(missing)}")
-
-    def num(key: str, default: float = 0.0) -> float:
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError:
-            raise DataFormatError(f"key {key!r} is not a number: {raw[key]!r}") from None
-
-    try:
-        p = int(raw["p"])
-    except ValueError:
-        raise DataFormatError(f"key 'p' is not an integer: {raw['p']!r}") from None
-    return ModelParams(
-        p=p, V=num("V"), t1=num("t1"), t2=num("t2"), tQ=num("tQ"),
-        VQ=num("VQ"), VM=num("VM"),
-        sigmaL=complex(num("sigmaL_re"), num("sigmaL_im")),
-        sigmaR=complex(num("sigmaR_re"), num("sigmaR_im")),
-        f0=num("f0"),
-    )

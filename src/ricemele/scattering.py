@@ -1,5 +1,6 @@
-"""Green's-function two-port scattering, LDOS maps in O(p) per energy with
-their dense point oracles, and the peaks of a transmission spectrum."""
+"""Green's-function two-port scattering: maps in O(p) per energy, the dense
+point solve s_matrix that is their oracle, and the peaks of a transmission
+spectrum."""
 
 from __future__ import annotations
 
@@ -44,15 +45,6 @@ class SpectrumMap:
 MAP_KINDS = ("S_LL", "S_LR", "S_RL", "S_RR", "LDOS")
 
 
-def greens_function(H: LabeledHamiltonian, E: float) -> np.ndarray:
-    """Retarded Green's function G(E) = (E*I - H)^-1 of the port-dressed chain."""
-    a = E * np.eye(H.matrix.shape[0], dtype=complex) - H.matrix
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"(E*I - H) singular at E = {E} MHz") from exc
-
-
 def _columns(H: LabeledHamiltonian, E: float, sites: list) -> np.ndarray:
     """Columns of G(E) at the 1-based sites, cheaper than the full inverse."""
     n = H.matrix.shape[0]
@@ -87,16 +79,6 @@ def s_matrix(params: ModelParams, E: float, H: LabeledHamiltonian = None) -> SMa
         S_RL=1j * root * g[ir, 0],
         S_RR=-1.0 + 1j * gamma_r * g[ir, 1],
     )
-
-
-def ldos(params: ModelParams, E: float, site: int, H: LabeledHamiltonian = None) -> float:
-    """Local density of states -(1/pi) Im G(E) at a 1-based site, per MHz."""
-    if H is None:
-        H = build_hamiltonian(params, include_ports=True)
-    n = H.matrix.shape[0]
-    if not 1 <= site <= n:
-        raise ParameterError(f"site must be in 1..{n}, got {site}")
-    return float(-_columns(H, E, [site])[site - 1, 0].imag / np.pi)
 
 
 # probe energies per block of transmission_map's (E, VQ) qubit fold
@@ -207,8 +189,11 @@ def resonance_grid(params: ModelParams, n_points: int, pad: float = 50.0) -> np.
 
     A uniform backbone spanning the spectrum is merged with a dense window
     around each eigenvalue, sized by its decay rate; narrow interior
-    resonances would otherwise fall between uniform grid points.
+    resonances would otherwise fall between uniform grid points. A peak
+    needs three samples, so n_points must be at least 3.
     """
+    if n_points < 3:
+        raise ParameterError(f"a resonance grid needs at least 3 points, got {n_points}")
     H = build_hamiltonian(params, include_ports=True)
     evals = np.linalg.eigvals(H.matrix)
     lo = float(evals.real.min() - pad)

@@ -9,7 +9,7 @@ amplitude combinations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,17 +53,8 @@ class ChiEstimate:
     noise_floor_limited: bool = False
 
     def as_dict(self) -> dict:
-        def enc(x):
-            return None if math.isinf(x) else x
-
-        return {
-            "chi_l": enc(self.chi_l),
-            "chi_r": enc(self.chi_r),
-            "chi": enc(self.chi),
-            "chi_dB": enc(self.chi_dB),
-            "fidelity": self.fidelity,
-            "noise_floor_limited": self.noise_floor_limited,
-        }
+        """JSON-safe dict; infinite values are encoded as null."""
+        return {k: None if v in (math.inf, -math.inf) else v for k, v in asdict(self).items()}
 
 
 def _lowpass_taps(fs_mhz: float, cutoff_mhz: float) -> np.ndarray:
@@ -135,20 +126,6 @@ def _trace(t_ns, samples):
     if x.shape[-1:] != (t.size,):
         raise ParameterError("time grid and samples must have equal length")
     return t, x
-
-
-def demodulate_amplitude(t_ns, samples, f_rabi: float, lpf_cutoff: float = 6.0) -> float:
-    """Signal amplitude at the Rabi frequency of one trace channel.
-
-    Multiplies by sin(2 pi 1e-3 f_rabi t), low-pass filters with a zero-phase
-    windowed sinc at lpf_cutoff MHz, integrates by the trapezoid rule and
-    returns the magnitude normalized by the trace duration. A sinusoid of
-    amplitude A at f_rabi demodulates to A/2. The whole chain is one dot
-    product with a weight vector (_demodulation_weights).
-    """
-    t, x = _trace(t_ns, samples)
-    w, duration = _demodulation_weights(t, f_rabi, lpf_cutoff)
-    return float(abs(x @ w) / duration)
 
 
 def bootstrap_amplitude(

@@ -42,10 +42,6 @@ class BandGap:
     in_gap_mode_indices: list = field(default_factory=list)
 
     @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    @property
     def centre(self) -> float:
         return 0.5 * (self.lower + self.upper)
 
@@ -90,8 +86,7 @@ def band_gap(modes: ModeSet, params: ModelParams) -> BandGap:
     parts of its eigenvalues, for the chain parameters V, t1 and t2 of params."""
     energies = modes.eigenvalues.real
     lower, upper = (float(x) for x in gap_edges(energies, params.V, params.t1, params.t2))
-    inside = np.flatnonzero((energies > lower) & (energies < upper))
-    return BandGap(lower=lower, upper=upper, in_gap_mode_indices=[int(i) for i in inside])
+    return BandGap(lower, upper, in_gap_indices(modes, BandGap(lower, upper)))
 
 
 def in_gap_indices(modes: ModeSet, gap: BandGap) -> list:

@@ -50,14 +50,45 @@ def heuristic_mode_gap(modes, params):
 def heuristic_block_gap(params):
     """(lower, upper) of heuristic_gap on the bare waveguide block, M-dominated
     modes excluded, or None."""
-    from ricemele.fitting import _tridiagonal_eigh
-    from ricemele.model import _waveguide_tridiagonal, site_roles
+    from ricemele.fitting import _theta, _waveguide_patterns, _waveguide_spectra
+    from ricemele.model import site_roles
 
-    d, e = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
-    evals, evecs = _tridiagonal_eigh(d, e, vectors=True)
-    prob = evecs**2
+    lam, _, z = _waveguide_spectra(_waveguide_patterns(params.p), _theta(params))
+    evals, prob = lam[0], z[0] ** 2
     gap = heuristic_gap(evals, prob, prob[site_roles(params.p).M - 1], params.t1 + params.t2)
     return None if gap is None else gap[:2]
+
+
+def ldos(params, E, site, H=None):
+    """Local density of states -(1/pi) Im G(E) at a 1-based site, per MHz,
+    from one dense solve of the port-dressed chain: the point oracle of
+    transmission_map's LDOS."""
+    from ricemele import ParameterError, build_hamiltonian
+    from ricemele.scattering import _columns
+
+    if H is None:
+        H = build_hamiltonian(params, include_ports=True)
+    n = H.matrix.shape[0]
+    if not 1 <= site <= n:
+        raise ParameterError(f"site must be in 1..{n}, got {site}")
+    return float(-_columns(H, E, [site])[site - 1, 0].imag / np.pi)
+
+
+def demodulate_amplitude(t_ns, samples, f_rabi, lpf_cutoff=6.0):
+    """Signal amplitude at the Rabi frequency of one trace channel.
+
+    Multiplies by sin(2 pi 1e-3 f_rabi t), low-pass filters with a zero-phase
+    windowed sinc at lpf_cutoff MHz, integrates by the trapezoid rule and
+    returns the magnitude normalized by the trace duration. A sinusoid of
+    amplitude A at f_rabi demodulates to A/2. The whole chain is one dot
+    product with the weight vector of sigproc._demodulation_weights, the
+    one bootstrap_amplitude uses.
+    """
+    from ricemele.sigproc import _demodulation_weights, _trace
+
+    t, x = _trace(t_ns, samples)
+    w, duration = _demodulation_weights(t, f_rabi, lpf_cutoff)
+    return float(abs(x @ w) / duration)
 
 
 def best_quadrature(samples: np.ndarray) -> np.ndarray:

@@ -52,6 +52,29 @@ def test_empty_vq_grid_is_usage_error(tmp_path, capsys):
     rc = _run(["spectrum", "--config", cfg, "--out", tmp_path / "out"])
     assert rc == 2
     assert "usage error" in capsys.readouterr().err
+    # too few probe energies for a resonance grid: a peak needs three
+    for points in (-5, 0, 2):
+        cfg.write_text(f"E_points = {points}\n")
+        rc = _run(["scatter", "--preset", "fig3", "--config", cfg, "--out", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "usage error: a resonance grid needs at least 3 points" in err
+
+
+def test_chain_too_long_for_a_dense_matrix_is_usage_error(tmp_path, capsys):
+    # rejected on the size 16 (4p + 4)^2 bytes alone, before any allocation
+    from ricemele.model import MAX_MATRIX_BYTES
+
+    assert 16 * (4 * 2047 + 4) ** 2 <= MAX_MATRIX_BYTES < 16 * (4 * 2048 + 4) ** 2
+    cfg = tmp_path / "long.cfg"
+    for p in ("2048", "100000000000000000000"):
+        cfg.write_text(f"p = {p}\n")
+        for command, preset in (("spectrum", "fig1"), ("emit", "fig5"), ("scatter", "fig3")):
+            rc = _run([command, "--preset", preset, "--config", cfg, "--out", tmp_path / "out"])
+            err = capsys.readouterr().err
+            assert rc == 2, err
+            assert f"usage error: p = {p}: a dense (4p+4)^2 complex Hamiltonian" in err
+            assert "Traceback" not in err
 
 
 def test_non_finite_config_is_usage_error(tmp_path, capsys):
@@ -472,9 +495,9 @@ _FUZZ_BYTES = st.one_of(
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=_FUZZ_BYTES)
 def test_readers_raise_only_data_or_parameter_errors(tmp_path, data):
-    from ricemele.cli import _read_gaps_csv, _read_peaks_csv
+    from ricemele.cli import _read_gaps_csv, _read_peaks_csv, parse_config
     from ricemele.dynamics import read_trace_csv
-    from ricemele.model import parse_config, read_text
+    from ricemele.model import read_text
 
     path = tmp_path / "fuzzed.csv"
     path.write_bytes(data)

@@ -74,7 +74,7 @@ def test_report_json_encodes_infinity(fig1_params):
     modes, idx = _in_gap_modes(fig1_params)
     k = max(idx, key=lambda i: modes.qubit_weight[i])
     rep = directionality(modes.eigenvectors[:, k], modes.roles, "left")
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.as_dict()))
     assert payload["chi"] is None
     assert payload["chi_dB"] is None
     assert payload["fidelity"] == 1.0
@@ -177,7 +177,7 @@ def _scanned_working_points(params, scan_points=161):
     """Oracle: the chi maximum per direction, from a scan across the
     far-detuned gap (2 % margins) and a bounded scalar refinement."""
     gap = far_detuned_gap(params)
-    margin = 0.02 * gap.width
+    margin = 0.02 * (gap.upper - gap.lower)
     grid = np.linspace(gap.lower + margin, gap.upper - margin, scan_points)
     found = {}
     for direction in ("left", "right"):

@@ -21,12 +21,20 @@ from ricemele import (
     s_matrix,
 )
 from ricemele.fitting import (
-    FIT_NAMES, STAGE1_FREE, _GapModel, _tq_bound, waveguide_eigenvalues,
+    FIT_NAMES, STAGE1_FREE, _gap_spectra, _theta, _tq_bound, _waveguide_patterns,
+    _waveguide_spectra,
 )
 from ricemele.model import build_hamiltonian
 from ricemele.scattering import _prominent_maxima
 
 from conftest import heuristic_block_gap
+
+
+def _block(params, bounds=None):
+    """(evals, psi_m, lower, upper) of the waveguide block of params, a stack
+    of one row for _arrow_gaps, as model_anticrossing_gap solves it."""
+    lam, _, z = _waveguide_spectra(_waveguide_patterns(params.p), _theta(params))
+    return _gap_spectra(lam, z, params, bounds)
 
 
 def test_extract_peaks_sinusoid():
@@ -48,7 +56,7 @@ def test_extract_peaks_two_lorentzians():
 
 
 def test_extract_peaks_on_model_spectrum(fitted_params):
-    far = fitted_params.with_(VQ=10 * max(fitted_params.t1, fitted_params.t2) + fitted_params.VM)
+    far = fitted_params.far_detuned()
     grid = resonance_grid(far, 2001)
     H = build_hamiltonian(far, include_ports=True)
     values = np.array([abs(s_matrix(far, e, H=H).S_RL) for e in grid])
@@ -255,11 +263,9 @@ def test_bootstrap_counts_gap_rule_failure_as_one_failed_resample(monkeypatch):
 def test_gap_model_edges_of_fitted_device(fitted_params):
     # the bare waveguide block, not the far-detuned chain: a parked qubit
     # moves these edges to (-73.496, 149.261) MHz
-    from ricemele.fitting import _GapModel
-
-    model = _GapModel(fitted_params)
-    assert model.lower == pytest.approx(-73.2806931319502, abs=1e-12)
-    assert model.upper == pytest.approx(149.39367238654432, abs=1e-12)
+    _, _, lower, upper = _block(fitted_params)
+    assert lower[0] == pytest.approx(-73.2806931319502, abs=1e-12)
+    assert upper[0] == pytest.approx(149.39367238654432, abs=1e-12)
 
 
 def test_bootstrap_is_deterministic_for_a_fixed_seed():
@@ -283,14 +289,12 @@ def test_bootstrap_is_deterministic_for_a_fixed_seed():
     vm=st.floats(-200.0, 800.0),
 )
 def test_hellmann_feynman_jacobian_matches_central_differences(p, t1, t2, v, v_sign, vm):
-    from ricemele.fitting import _waveguide_patterns, _waveguide_spectra, waveguide_eigenvalues
-
     theta = np.array([t1, t2, v_sign * v, vm])
     lam, jac, _ = _waveguide_spectra(_waveguide_patterns(p), theta[None])
 
     def levels(th):
-        return waveguide_eigenvalues(ModelParams(p=p, t1=th[0], t2=th[1], V=th[2], VM=th[3],
-                                                 tQ=0.0, VQ=0.0))
+        return model_peak_frequencies(ModelParams(p=p, t1=th[0], t2=th[1], V=th[2], VM=th[3],
+                                                  tQ=0.0, VQ=0.0))
 
     h = 1e-3
     numeric = np.empty_like(jac[0])
@@ -347,13 +351,13 @@ def test_secular_gaps_match_dense_oracle(p, t1, t2, v, vm, tq, spots, edge):
     # edge or an in-gap level
     from ricemele.fitting import _arrow_gaps
 
-    model = _GapModel(ModelParams(p=p, t1=t1, t2=t2, V=v, VM=vm, tQ=tq, VQ=0.0))
-    width = model.upper - model.lower
+    block = _block(ModelParams(p=p, t1=t1, t2=t2, V=v, VM=vm, tQ=tq, VQ=0.0))
+    evals, _, lower, upper = (x[0] for x in block)
     fractions = spots + ([] if edge is None else [edge])
-    vqs = np.array([[model.lower + f * width for f in fractions]])
-    args = (*model.rows(), np.array([tq]), vqs)
+    vqs = np.array([[lower + f * (upper - lower) for f in fractions]])
+    args = (*block, np.array([tq]), vqs)
     gap, slope, _ = _arrow_gaps(*args)
-    scale = np.abs(model.evals).max() + tq + np.abs(vqs).max()
+    scale = np.abs(evals).max() + tq + np.abs(vqs).max()
     dense = [_dense_arrow_gaps(*args, margin=m * np.finfo(float).eps * scale)
              for m in (0, 2, 3, 4, 5, 6, 8, 16)]
 
@@ -380,13 +384,14 @@ def test_secular_kernel_counts_a_dark_mode_inside_the_gap():
     # the edges, so the dense oracle is read with a margin of 16 eps |H|.
     from ricemele.fitting import _arrow_gaps
 
-    model = _GapModel(ModelParams(p=6, t1=60.0, t2=250.0, V=0.0, VM=0.0, tQ=80.0, VQ=0.0))
-    dark = (np.abs(model.psi_m) < 1e-12) & (model.evals > model.lower) & (model.evals < model.upper)
+    block = _block(ModelParams(p=6, t1=60.0, t2=250.0, V=0.0, VM=0.0, tQ=80.0, VQ=0.0))
+    evals, psi_m, lower, upper = (x[0] for x in block)
+    dark = (np.abs(psi_m) < 1e-12) & (evals > lower) & (evals < upper)
     assert dark.sum() == 1
-    vqs = np.array([[model.lower + 0.1 * (model.upper - model.lower), 0.0, 50.0]])
-    args = (*model.rows(), np.array([80.0]), vqs)
+    vqs = np.array([[lower + 0.1 * (upper - lower), 0.0, 50.0]])
+    args = (*block, np.array([80.0]), vqs)
     gap, slope, _ = _arrow_gaps(*args)
-    margin = 16 * np.finfo(float).eps * (np.abs(model.evals).max() + 80.0 + np.abs(vqs).max())
+    margin = 16 * np.finfo(float).eps * (np.abs(evals).max() + 80.0 + np.abs(vqs).max())
     want, want_slope = _dense_arrow_gaps(*args, margin=margin)
     assert np.all(np.isfinite(gap))
     np.testing.assert_allclose(gap, want, rtol=0, atol=1e-9)
@@ -396,24 +401,24 @@ def test_secular_kernel_counts_a_dark_mode_inside_the_gap():
 def test_secular_roots_seeded_from_an_earlier_call_give_the_same_gaps(fitted_params):
     from ricemele.fitting import _arrow_gaps
 
-    model = _GapModel(fitted_params)
+    block = _block(fitted_params)
     vqs = np.array([[-20.0, 0.0, 17.6, 35.0, 55.0]])
-    _, _, roots = _arrow_gaps(*model.rows(), np.array([130.0]), vqs)
-    cold = _arrow_gaps(*model.rows(), np.array([131.0]), vqs)
-    warm = _arrow_gaps(*model.rows(), np.array([131.0]), vqs, roots)
+    _, _, roots = _arrow_gaps(*block, np.array([130.0]), vqs)
+    cold = _arrow_gaps(*block, np.array([131.0]), vqs)
+    warm = _arrow_gaps(*block, np.array([131.0]), vqs, roots)
     np.testing.assert_allclose(warm[0], cold[0], rtol=0, atol=1e-11)
     np.testing.assert_allclose(warm[1], cold[1], rtol=1e-10)
 
 
 @pytest.mark.parametrize("tq", [40.0, 130.0, 200.0])
 def test_gap_slope_matches_central_differences(fitted_params, tq):
-    from ricemele.fitting import _arrow_gaps, _GapModel
+    from ricemele.fitting import _arrow_gaps
 
-    model = _GapModel(fitted_params)
+    block = _block(fitted_params)
     vqs = np.array([[-20.0, 0.0, 17.6, 35.0, 55.0]])
 
     def at(t):
-        return _arrow_gaps(*model.rows(), np.array([t]), vqs)[:2]
+        return _arrow_gaps(*block, np.array([t]), vqs)[:2]
 
     gap, slope = at(tq)
     h = 1e-4
@@ -449,7 +454,7 @@ def _fit_once(initial, fixed, rng, n_restarts, pair_idx, pair_freq, gap_obs):
         if min(values.get("t1", initial.t1), values.get("t2", initial.t2)) < 0:
             return None
         params = initial.with_(**values)
-        model = waveguide_eigenvalues(params)[pair_idx]
+        model = model_peak_frequencies(params.with_(f0=0.0))[pair_idx]
         f0 = float(np.mean(pair_freq - model)) if fixed_f0 is None else fixed_f0
         return params.with_(f0=f0), pair_freq - model - f0
 
@@ -473,14 +478,14 @@ def _fit_once(initial, fixed, rng, n_restarts, pair_idx, pair_freq, gap_obs):
         bounds = heuristic_block_gap(params)
         if bounds is None:
             raise NumericalError("the heuristic finds no band gap")
-        model = _GapModel(params, bounds)
+        block = _block(params, bounds)
         vqs, sizes = np.array(gap_obs, dtype=float).T
 
         def sse2(tq):
-            diff = sizes - _dense_arrow_gaps(*model.rows(), np.array([tq]), vqs[None])[0][0]
+            diff = sizes - _dense_arrow_gaps(*block, np.array([tq]), vqs[None])[0][0]
             return _SENTINEL if np.isnan(diff).any() else float(diff @ diff)
 
-        hi = _tq_bound(initial.tQ, model.lower, model.upper)
+        hi = _tq_bound(initial.tQ, *bounds)
         found = minimize_scalar(sse2, bounds=(0.0, hi), method="bounded",
                                 options={"xatol": 1e-3})
         if found.fun >= _SENTINEL:
@@ -655,7 +660,9 @@ def test_stage2_cannot_start_from_tq_zero():
         fit_hamiltonian(obs.peaks, obs.gaps, INITIAL.with_(tQ=0.0), seed=1)
 
 
-# _tridiagonal_eigh replaces LAPACK dstev; it is checked against scipy's.
+# the fit's eigensolves of the dense waveguide block (eigvalsh in
+# model_peak_frequencies, eigh in _waveguide_spectra) replace LAPACK dstev;
+# they are checked against scipy's.
 
 
 @settings(max_examples=60, deadline=None)
@@ -666,18 +673,18 @@ def test_stage2_cannot_start_from_tq_zero():
     v=st.floats(-100.0, 100.0),
     vm=st.floats(-200.0, 800.0),
 )
-def test_tridiagonal_eigh_matches_dstev(p, t1, t2, v, vm):
+def test_waveguide_eigensolves_match_dstev(p, t1, t2, v, vm):
     from scipy.linalg import lapack
 
-    from ricemele.fitting import _tridiagonal_eigh
     from ricemele.model import _waveguide_tridiagonal
 
     d, e = _waveguide_tridiagonal(p, v, t1, t2, vm)
     w_ref, z_ref, info = lapack.dstev(d, e, compute_v=1)
     assert info == 0
     scale = np.max(np.abs(w_ref))
-    w = _tridiagonal_eigh(d, e)
-    lam, z = _tridiagonal_eigh(d, e, vectors=True)
+    w = model_peak_frequencies(ModelParams(p=p, t1=t1, t2=t2, V=v, VM=vm, tQ=0.0, VQ=0.0))
+    lam, _, z = _waveguide_spectra(_waveguide_patterns(p), np.array([[t1, t2, v, vm]]))
+    lam, z = lam[0], z[0]
     assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale
     assert np.max(np.abs(lam - w_ref)) <= 1e-12 * scale
     # each eigenvector up to its sign; rounding moves it by about eps |H| over
@@ -703,9 +710,9 @@ def _fit_workload_inputs(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_gap_model_from_stage1_eigenpairs_is_bit_identical(seed):
-    # the bootstrap's stage 2 reads each row's waveguide block from stage 1
-    # instead of solving it again in _GapModel
-    from ricemele.fitting import _stage1_rows, _waveguide_patterns
+    # the bootstrap's stage 2 reads each row's waveguide block from stage 1:
+    # the one-row solve of model_anticrossing_gap gives the same bits
+    from ricemele.fitting import _stage1_rows
     from ricemele.model import gap_edges, site_roles
 
     obs = _fit_workload_inputs(seed)
@@ -720,10 +727,10 @@ def test_gap_model_from_stage1_eigenpairs_is_bit_identical(seed):
     assert rows.size >= 30
     lower, upper = gap_edges(evals[rows], theta[rows, 2], theta[rows, 0], theta[rows, 1])
     for j, r in enumerate(rows):
-        want = _GapModel(point.with_(**{n: float(x) for n, x in zip(STAGE1_FREE, theta[r])}))
-        assert evals[r].tobytes() == want.evals.tobytes()
-        assert evecs[r, m].tobytes() == want.psi_m.tobytes()
-        assert (lower[j], upper[j]) == (want.lower, want.upper)
+        want = _block(point.with_(**{n: float(x) for n, x in zip(STAGE1_FREE, theta[r])}))
+        assert evals[r].tobytes() == want[0][0].tobytes()
+        assert evecs[r, m].tobytes() == want[1][0].tobytes()
+        assert (lower[j], upper[j]) == (want[2][0], want[3][0])
 
 
 def _bulk_rule_by_hand(energies, v, t1, t2):
@@ -773,11 +780,11 @@ def test_bare_block_gap_at_v_zero_is_not_on_the_chiral_zero_mode():
     for t1, t2 in ((230.0, 280.0), (280.0, 230.0), (60.0, 250.0), (150.0, 120.0)):
         for p in (1, 2, 4, 7):
             params = CHIRAL.with_(p=p, t1=t1, t2=t2)
-            model = _GapModel(params)
-            zero = model.evals[np.argmin(np.abs(model.evals))]
-            assert abs(zero) < 1e-10 and abs(model.psi_m[np.argmin(np.abs(model.evals))]) < 1e-10
-            assert model.lower <= -abs(t1 - t2) and model.upper >= abs(t1 - t2)
-            assert model.lower < zero < model.upper
+            evals, psi_m, lower, upper = (x[0] for x in _block(params))
+            k = np.argmin(np.abs(evals))
+            assert abs(evals[k]) < 1e-10 and abs(psi_m[k]) < 1e-10
+            assert lower <= -abs(t1 - t2) and upper >= abs(t1 - t2)
+            assert lower < evals[k] < upper
     assert heuristic_block_gap(CHIRAL)[0] == pytest.approx(0.0, abs=1e-10)
 
 

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ricemele import ModelParams, ParameterError, build_hamiltonian, site_roles
+from ricemele.cli import RunConfig, parse_config
 from ricemele.errors import DataFormatError
-from ricemele.model import (
-    median, params_from_config, params_to_config, parse_config, percentile, unique,
-)
+from ricemele.model import median, percentile, unique
 
 
 def test_site_roles_p4():
@@ -208,10 +207,22 @@ def test_passive_port_validation():
 
 
 def test_config_roundtrip(fitted_params):
-    text = params_to_config(fitted_params)
-    assert "e" not in text.replace("sigmaL_re", "").replace("sigmaR_re", "")
-    back = params_from_config(text)
-    assert back == fitted_params
+    # config text becomes ModelParams only on the CLI path: parse_config,
+    # then RunConfig.model
+    sl, sr = complex(fitted_params.sigmaL), complex(fitted_params.sigmaR)
+    values = {name: getattr(fitted_params, name)
+              for name in ("p", "V", "t1", "t2", "tQ", "VQ", "VM", "f0")}
+    values.update(sigmaL_re=sl.real, sigmaL_im=sl.imag, sigmaR_re=sr.real, sigmaR_im=sr.imag)
+    text = "".join(f"{key} = {value!r}\n" for key, value in values.items())
+
+    def model(text):
+        return RunConfig(parse_config(text), seed=0).model()
+
+    assert model(text) == fitted_params
+    with pytest.raises(ParameterError, match="'t2' is required"):
+        model(text.replace("t2 =", "# t2 ="))
+    with pytest.raises(DataFormatError, match="'V' is not a number"):
+        model(text.replace("V = 40.0", "V = forty"))
 
 
 def test_config_parse_errors():
@@ -220,10 +231,6 @@ def test_config_parse_errors():
     with pytest.raises(DataFormatError) as err:
         parse_config("p = 4\np = 5")
     assert "line 2" in str(err.value)
-    with pytest.raises(DataFormatError):
-        params_from_config("p = 4\nV = 40")  # missing required keys
-    with pytest.raises(DataFormatError):
-        params_from_config("p = 4\nV = forty\nt1 = 1\nt2 = 1\ntQ = 0\nVQ = 0\nVM = 0")
 
 
 def test_config_ignores_comments_and_blanks():

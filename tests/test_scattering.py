@@ -7,8 +7,6 @@ from ricemele import (
     ParameterError,
     build_hamiltonian,
     far_detuned_gap,
-    greens_function,
-    ldos,
     resonance_grid,
     s_matrix,
     transmission_map,
@@ -16,26 +14,13 @@ from ricemele import (
 from ricemele.model import LabeledHamiltonian, SiteRoles
 from ricemele.scattering import SpectrumMap, write_map_csv, write_map_header_json
 
+from conftest import ldos
+
 
 def _single_site(epsilon, sigma_l, sigma_r):
     roles = SiteRoles(dim=1, portL=1, portR=1, M=1, NL=1, NR=1, Q=1)
     m = np.array([[epsilon + sigma_l + sigma_r]], dtype=complex)
     return LabeledHamiltonian(matrix=m, roles=roles, hermitian=False)
-
-
-def test_greens_single_site_scalar():
-    H = _single_site(5.0, 0.0, -2j)
-    for e in (-3.0, 0.0, 5.0, 11.5):
-        g = greens_function(H, e)
-        assert g.shape == (1, 1)
-        assert g[0, 0] == pytest.approx(1.0 / (e - 5.0 + 2j), rel=1e-12)
-
-
-def test_greens_residual(fitted_params):
-    H = build_hamiltonian(fitted_params, include_ports=True)
-    g = greens_function(H, 0.0)
-    lhs = (0.0 * np.eye(20) - H.matrix) @ g
-    assert np.max(np.abs(lhs - np.eye(20))) < 1e-9
 
 
 def test_greens_poles_match_eigenvalues(rng):
@@ -81,7 +66,7 @@ def test_lossless_ports_rejected(fitted_params):
 
 
 def test_nineteen_transmission_peaks(fitted_params):
-    far = fitted_params.with_(VQ=10 * max(fitted_params.t1, fitted_params.t2) + fitted_params.VM)
+    far = fitted_params.far_detuned()
     grid = resonance_grid(far, 2001)
     H = build_hamiltonian(far, include_ports=True)
     values = np.array([abs(s_matrix(far, e, H=H).S_RL) for e in grid])
@@ -171,7 +156,7 @@ def test_ldos_integrates_to_one_per_site():
 
 
 def test_ldos_shows_19_peak_structure(fitted_params):
-    far = fitted_params.with_(VQ=10 * max(fitted_params.t1, fitted_params.t2) + fitted_params.VM)
+    far = fitted_params.far_detuned()
     grid = resonance_grid(far, 2001)
     H = build_hamiltonian(far, include_ports=True)
     values = np.array([ldos(far, e, 1, H=H) for e in grid])
@@ -180,7 +165,7 @@ def test_ldos_shows_19_peak_structure(fitted_params):
 
 
 def test_peaks_sit_on_poles(fitted_params):
-    far = fitted_params.with_(VQ=10 * max(fitted_params.t1, fitted_params.t2) + fitted_params.VM)
+    far = fitted_params.far_detuned()
     grid = resonance_grid(far, 2001)
     H = build_hamiltonian(far, include_ports=True)
     values = np.array([abs(s_matrix(far, e, H=H).S_RL) for e in grid])

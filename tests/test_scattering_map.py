@@ -1,8 +1,8 @@
 """transmission_map through the qubit self-energy against the dense point API.
 
-s_matrix and ldos solve the full port-dressed matrix at one (E, VQ) point;
-they are the oracle for the folded map, and csv.writer is the oracle for
-write_map_csv.
+s_matrix and conftest's ldos solve the full port-dressed matrix at one
+(E, VQ) point; they are the oracle for the folded map, and csv.writer is the
+oracle for write_map_csv.
 """
 
 import csv
@@ -17,13 +17,14 @@ from ricemele import (
     NumericalError,
     ParameterError,
     build_hamiltonian,
-    ldos,
     resonance_grid,
     s_matrix,
     transmission_map,
 )
 from ricemele.cli import PRESETS, RunConfig, main
 from ricemele.scattering import MAP_KINDS, SpectrumMap, write_map_csv
+
+from conftest import ldos
 
 
 def _dense_maps(params, e_grid, vq_grid, kinds):

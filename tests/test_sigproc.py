@@ -12,10 +12,11 @@ from ricemele import (
     bloch_rabi_trace,
     bootstrap_amplitude,
     chi_estimate,
-    demodulate_amplitude,
 )
 from ricemele.model import RAD_PER_NS_PER_MHZ
 from ricemele.sigproc import _lowpass_taps
+
+from conftest import demodulate_amplitude
 
 F_RABI = 25.0
 T_GRID = np.arange(0.0, 4000.0, 1.0)

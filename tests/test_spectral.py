@@ -110,7 +110,7 @@ def test_gap_degenerate_for_uniform_chain():
     zero = modes.eigenvalues.real[np.argmin(np.abs(modes.eigenvalues.real))]
     assert abs(zero) < 1e-12
     assert gap.lower == gap.upper == zero
-    assert gap.width == 0.0 and gap.in_gap_mode_indices == []
+    assert gap.in_gap_mode_indices == []
 
 
 def _cell_weights(vector, p):
@@ -133,8 +133,7 @@ def _decays_from_m_or_the_ends(vector, p, tol=1e-10):
 
 
 def test_fitted_far_detuned_single_localized_state(fitted_params):
-    vq_far = 10 * max(fitted_params.t1, fitted_params.t2) + fitted_params.VM
-    params = fitted_params.with_(VQ=vq_far, sigmaL=0j, sigmaR=0j)
+    params = fitted_params.far_detuned().with_(sigmaL=0j, sigmaR=0j)
     modes = eigenmodes(build_hamiltonian(params))
     gap = band_gap(modes, params)
     assert len(gap.in_gap_mode_indices) == 1
