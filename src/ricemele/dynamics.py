@@ -24,6 +24,8 @@ from .spectral import BandGap, eigenmodes, far_detuned_gap, in_gap_indices
 DEFECTIVE_COND = 1e9
 # |Im E| below this (MHz) counts as a closed system -> infinite lifetime
 CLOSED_IM_E = 1e-12
+# infer_port_self_energy scans |Im sigma| up to this (MHz) for a bracket
+SCAN_MAX = 400.0
 
 
 @dataclass(frozen=True)
@@ -149,11 +151,7 @@ def dressed_decay_time(params: ModelParams, gap: BandGap = None) -> float:
     return decay_time(e)
 
 
-def infer_port_self_energy(
-    params: ModelParams,
-    target_T1: float,
-    scan_max: float = 400.0,
-) -> complex:
+def infer_port_self_energy(params: ModelParams, target_T1: float) -> complex:
     """Solve for equal port self-energies -i*g reproducing a target lifetime.
 
     Scalar root solve of dressed_decay_time(g) = target_T1 in g = |Im sigma|;
@@ -171,7 +169,7 @@ def infer_port_self_energy(
         return dressed_decay_time(p, gap)
 
     # T1 decreases with g; find a sign change of T1(g) - target
-    grid = np.geomspace(1e-3, scan_max, 40)
+    grid = np.geomspace(1e-3, SCAN_MAX, 40)
     values = np.array([t1_of(g) - target_T1 for g in grid])
     signs = np.sign(values)
     crossings = np.flatnonzero(signs[:-1] * signs[1:] < 0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotFoundError, ParameterError
 from .model import ModelParams, SiteRoles, build_hamiltonian
-from .spectral import BandGap, eigenmodes, far_detuned_gap, in_gap_indices
+from .spectral import BandGap, band_gap, eigenmodes, in_gap_indices
 
 # populations below this are treated as numerically zero -> chi = +inf
 ZERO_POP = 1e-14
@@ -122,17 +122,16 @@ def working_points(params: ModelParams) -> tuple[float, float]:
     return -float(params.V), float(params.V)
 
 
-def bidirectional_point(params: ModelParams, gap: BandGap = None) -> float:
+def bidirectional_point(params: ModelParams) -> float:
     """Qubit energy at the anti-crossing centre (the bidirectional regime).
 
     This is the energy of the in-gap waveguide state with the qubit parked
     far away; parking VQ there makes the dressed states equal superpositions
     that spread to both sides.
     """
-    if gap is None:
-        gap = far_detuned_gap(params)
     modes = eigenmodes(build_hamiltonian(params.far_detuned()))
-    idx = in_gap_indices(modes, gap)
+    gap = band_gap(modes, params)
+    idx = gap.in_gap_mode_indices
     if not idx:
         raise NotFoundError("no in-gap waveguide state to anchor the bidirectional point")
     centred = min(idx, key=lambda k: abs(modes.eigenvalues[k].real - gap.centre))

@@ -28,10 +28,13 @@ eigensolve of the arrow matrix, the test oracle, the gaps agree to 1e-9 MHz
 and their tQ slopes to 1e-8 relative, wherever rounding does not decide
 whether a level at a gap edge is inside. The gap edges are those of the
 bulk rule model.gap_edges. Every eigensolve builds its waveguide blocks
-the one way, _waveguide_blocks. Stage 2 takes the block of the point fit's
-best start, or of a bootstrap row, from the eigenpairs of its own stage-1
-solve, and a block of rows its gap edges from one gap_edges call on their
-eigenvalues.
+the one way, _waveguide_blocks.
+
+The point fit's starts and the bootstrap's resamples are rows of the one
+two-stage solve, _fit_block: stage 2 takes each row's waveguide block from
+the eigenpairs of its stage-1 solve, and a block of rows its gap edges from
+one gap_edges call on their eigenvalues. The point fit's f0 and residual are
+those of its stage-1 solve, as every resample's are.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ FIT_NAMES = STAGE1_FREE + ("f0", "tQ")
 # once for all its rows and bounds the eigenvector stacks in memory (0.7 MB
 # at p = 4); the results do not depend on it
 BLOCK_ROWS = 256
+# stage-1 starts of the point fit: the initial guess and random starts around it
+N_STARTS = 5
 # Gauss-Newton steps before a row is reported unconverged
 MAX_ITER = 50
 # a row has converged once its next step would move no parameter by more
@@ -145,14 +150,6 @@ def _waveguide_spectra(patterns, theta: np.ndarray):
     return lam, jac.transpose(0, 2, 1), z
 
 
-def _gap_spectra(lam, z, params: ModelParams, bounds=None):
-    """(evals, psi_m, lower, upper) of _arrow_gaps for one row of waveguide
-    eigenpairs (1, n) and (1, n, n) of params: the gap edges are those of
-    model.gap_edges unless bounds gives them."""
-    lower, upper = bounds or gap_edges(lam, params.V, params.t1, params.t2)
-    return lam, z[:, site_roles(params.p).M - 1], np.atleast_1d(lower), np.atleast_1d(upper)
-
-
 def model_peak_frequencies(params: ModelParams) -> np.ndarray:
     """Far-detuned transmission peak positions: the sorted eigenvalues of the
     waveguide block (qubit excluded, eigvalsh) + f0."""
@@ -160,11 +157,12 @@ def model_peak_frequencies(params: ModelParams) -> np.ndarray:
     return np.linalg.eigvalsh(h)[0] + params.f0
 
 
-def model_anticrossing_gap(params: ModelParams, vq: float, bounds=None) -> float:
+def model_anticrossing_gap(params: ModelParams, vq: float) -> float:
     """In-gap level splitting at one qubit energy for the given parameters,
-    between the gap edges bounds or, by default, those of model.gap_edges."""
+    between the gap edges of model.gap_edges."""
     lam, _, z = _waveguide_spectra(_waveguide_patterns(params.p), _theta(params))
-    gaps, _, _ = _arrow_gaps(*_gap_spectra(lam, z, params, bounds),
+    lower, upper = gap_edges(lam, params.V, params.t1, params.t2)
+    gaps, _, _ = _arrow_gaps(lam, z[:, site_roles(params.p).M - 1], lower, upper,
                              np.array([float(params.tQ)]), np.array([[float(vq)]]))
     if math.isnan(gaps[0, 0]):
         raise ParameterError(f"fewer than 2 in-gap levels at VQ = {vq} MHz")
@@ -466,19 +464,46 @@ def _tq_bound(tq0, lower, upper):
     return np.maximum(max(4.0 * abs(tq0), 100.0), 0.5 * (upper - lower))
 
 
-def _stage1_params(theta, free, base, pair_idx, pair_freq, fixed_f0):
-    """(params, sse) at the stage-1 parameters theta of the free names.
+def _fit_block(point: ModelParams, fixed: frozenset, starts, peak_picks, gap_picks, freq, gaps):
+    """The two-stage fit of a block of rows: the point fit's restarts or
+    bootstrap resamples.
 
-    f0 and the sum of squares are recomputed from the eigenvalues of
-    model_peak_frequencies rather than taken from the batched solver, whose
-    sum agrees only to rounding.
+    Row r starts stage 1 from starts[r] = (t1, t2, V, VM), fits the peak
+    ranks peak_picks[r] and the gaps gap_picks[r], and starts stage 2 from
+    point.tQ; point also gives the values of the fixed names. Both stages
+    run batched over the rows; stage 2 takes each row's waveguide eigenpairs
+    from stage 1, and the gap edges of all rows from one model.gap_edges
+    call on their eigenvalues.
+    Returns the fitted values (rows, fitted names in FIT_NAMES order), a row
+    of nan where the fit failed: where either stage did not converge, the
+    fit has no band gap, or its values are not finite with t1, t2, tQ >= 0
+    (which a converged row always is). Also returns each row's stage-1 sum
+    of squares, nan where stage 1 did not converge, and its stage-2 sum of
+    squares, 0 where stage 2 does not run and nan where the fit failed.
     """
-    values = dict(zip(free, theta))
-    params = base.with_(**{n: float(values.get(n, getattr(base, n))) for n in STAGE1_FREE})
-    model = model_peak_frequencies(params.with_(f0=0.0))[pair_idx]
-    f0 = float(np.mean(pair_freq - model)) if fixed_f0 is None else fixed_f0
-    residuals = pair_freq - model - f0
-    return params.with_(f0=float(f0)), float(residuals @ residuals)
+    fitted = [FIT_NAMES.index(n) for n in FIT_NAMES if n not in fixed]
+    free_idx = [STAGE1_FREE.index(n) for n in STAGE1_FREE if n not in fixed]
+    fixed_f0 = point.f0 if "f0" in fixed else None
+    rows = len(starts)
+    theta, f0, sse1, ok, (evals, evecs) = _stage1_rows(
+        _waveguide_patterns(point.p), free_idx, starts, peak_picks, freq[peak_picks], fixed_f0,
+    )
+    table = np.column_stack([theta, f0, np.full(rows, point.tQ)])
+    sse2 = np.zeros(rows)
+    if "tQ" not in fixed and len(gaps) > 0:
+        m = site_roles(point.p).M - 1
+        idx = np.flatnonzero(ok)
+        lower, upper = gap_edges(evals[idx], theta[idx, 2], theta[idx, 0], theta[idx, 1])
+        has_gap = ~np.isnan(lower)
+        ok[idx] = has_gap
+        idx, lower, upper = idx[has_gap], lower[has_gap], upper[has_gap]
+        obs = np.asarray(gaps, dtype=float)[gap_picks[idx]]
+        table[idx, -1], sse2[idx], ok[idx] = _stage2_rows(
+            (evals[idx], evecs[idx, m], lower, upper), np.full(idx.size, point.tQ),
+            obs[..., 0], obs[..., 1], _tq_bound(point.tQ, lower, upper))
+    ok &= np.isfinite(table).all(axis=1) & (table[:, [0, 1, -1]] >= 0).all(axis=1)
+    table[~ok] = sse2[~ok] = math.nan
+    return table[:, fitted], sse1, sse2
 
 
 def fit_hamiltonian(
@@ -486,20 +511,20 @@ def fit_hamiltonian(
     anticrossing_gaps,
     initial: ModelParams,
     fixed=(),
-    n_restarts: int = 5,
     seed: int = 0,
 ) -> FitResult:
     """Two-stage fit: peaks -> (t1, t2, V, VM, f0), then gap sizes -> tQ.
 
     Peaks are matched to waveguide eigenvalues in sorted order, so the peak
     list order is irrelevant. f0 is profiled out analytically (the optimal
-    offset for fixed shape parameters is the mean residual). Stage 1 runs
-    Levenberg-Marquardt with exact Hellmann-Feynman Jacobians from the
-    initial guess and from n_restarts - 1 random starts around it, all as
-    one batch, and keeps the best converged start. Stage 2 runs Gauss-Newton
-    on tQ from the initial tQ, which must be nonzero: at tQ = 0 no gap size
-    depends on tQ. Raises NumericalError when no start converges or stage 2
-    does not.
+    offset for fixed shape parameters is the mean residual). The initial
+    guess and N_STARTS - 1 random starts around it are fitted as one block
+    of _fit_block on the unresampled data: stage 1 by Levenberg-Marquardt
+    with exact Hellmann-Feynman Jacobians, stage 2 by Gauss-Newton on tQ
+    from the initial tQ, which must be nonzero: at tQ = 0 no gap size
+    depends on tQ. The fit is the row of the converged stage-1 start with
+    the lowest stage-1 sum of squares. Raises NumericalError when no start
+    converges in stage 1 or that row's fit failed.
     """
     fixed = frozenset(fixed)
     unknown = fixed - set(FIT_NAMES)
@@ -517,89 +542,26 @@ def fit_hamiltonian(
         )
 
     freq = np.sort(far_detuned_peaks.frequencies())
-    pair_idx = np.arange(n_modes)
-    free1 = [n for n in STAGE1_FREE if n not in fixed]
-    free_idx = [STAGE1_FREE.index(n) for n in free1]
-    fixed_f0 = initial.f0 if "f0" in fixed else None
-
-    rows = max(n_restarts, 1)
-    starts = np.tile([getattr(initial, n) for n in STAGE1_FREE], (rows, 1))
+    free_idx = [STAGE1_FREE.index(n) for n in STAGE1_FREE if n not in fixed]
+    starts = np.tile(_theta(initial), (N_STARTS, 1))
     scale = np.maximum(np.abs(starts[0, free_idx]), 10.0)
     rng = np.random.default_rng(seed)
-    for trial in range(1, rows):
-        starts[trial, free_idx] += 0.1 * scale * rng.standard_normal(len(free1))
-    theta, _, sse, converged, (evals, evecs) = _stage1_rows(
-        _waveguide_patterns(initial.p), free_idx, starts,
-        np.tile(pair_idx, (rows, 1)), np.tile(freq, (rows, 1)), fixed_f0,
-    )
-    if not converged.any():
-        raise NumericalError(f"stage 1 converged from none of its {rows} starts")
-    b = int(np.argmin(np.where(converged, sse, np.inf)))
-    params, sse = _stage1_params(theta[b, free_idx], free1, initial, pair_idx, freq, fixed_f0)
-
-    if "tQ" not in fixed:
-        # stage 2 takes the waveguide eigenpairs of the best start from stage 1
-        spectra = _gap_spectra(evals[[b]], evecs[[b]], params)
-        vqs = np.array([[g[0] for g in gaps]], dtype=float)
-        sizes = np.array([[g[1] for g in gaps]], dtype=float)
-        hi = _tq_bound(initial.tQ, *spectra[2:])
-        tq, sse2, ok = _stage2_rows(spectra, [initial.tQ], vqs, sizes, hi)
-        if not ok[0]:
-            missing = np.isnan(_arrow_gaps(*spectra, tq, vqs)[0][0])
-            if missing.any():
-                raise NumericalError(
-                    f"tQ = {tq[0]:.4g} MHz leaves fewer than two in-gap levels at "
-                    f"VQ = {vqs[0][missing][0]:.4g} MHz; stage 2 cannot fit the gaps"
-                )
-            raise NumericalError(f"stage 2 did not converge from tQ = {initial.tQ:.4g} MHz "
-                                 f"in [0, {hi[0]:.4g}] MHz")
-        params = params.with_(tQ=float(tq[0]))
-        sse += float(sse2[0])
-    n_obs = n_modes + len(gaps)
+    for trial in range(1, N_STARTS):
+        starts[trial, free_idx] += 0.1 * scale * rng.standard_normal(len(free_idx))
+    table, sse1, sse2 = _fit_block(
+        initial, fixed, starts, np.tile(np.arange(n_modes), (N_STARTS, 1)),
+        np.tile(np.arange(len(gaps)), (N_STARTS, 1)), freq, gaps)
+    if np.isnan(sse1).all():
+        raise NumericalError(f"stage 1 converged from none of its {N_STARTS} starts")
+    b = int(np.nanargmin(sse1))
+    if np.isnan(table[b]).any():
+        raise NumericalError(f"stage 2 did not converge from tQ = {initial.tQ:.4g} MHz")
+    fitted = [n for n in FIT_NAMES if n not in fixed]
     return FitResult(
-        best=params,
-        residual_rms=math.sqrt(sse / n_obs),
+        best=initial.with_(**{n: float(x) for n, x in zip(fitted, table[b])}),
+        residual_rms=math.sqrt((sse1[b] + sse2[b]) / (n_modes + len(gaps))),
         converged=True,
     )
-
-
-def _refit_block(point: ModelParams, fixed: frozenset, peak_picks, gap_picks, freq, gaps):
-    """Refit a block of bootstrap resamples from the point estimate.
-
-    Row r draws the peak ranks peak_picks[r] and the gaps gap_picks[r]. Both
-    stages run batched over the rows; stage 2 takes each row's waveguide
-    eigenpairs from stage 1, and the gap edges of all rows from one
-    model.gap_edges call on their eigenvalues.
-    Returns the fitted values (rows, fitted names in FIT_NAMES order), a row
-    of nan where the refit failed: where either stage did not converge, the
-    refit has no band gap, or its values are not finite with t1, t2, tQ >= 0
-    (which a converged row always is).
-    """
-    fitted = [FIT_NAMES.index(n) for n in FIT_NAMES if n not in fixed]
-    free_idx = [STAGE1_FREE.index(n) for n in STAGE1_FREE if n not in fixed]
-    fixed_f0 = point.f0 if "f0" in fixed else None
-    rows = len(peak_picks)
-    starts = np.tile([getattr(point, n) for n in STAGE1_FREE], (rows, 1))
-    theta, f0, _, ok, (evals, evecs) = _stage1_rows(
-        _waveguide_patterns(point.p), free_idx, starts, peak_picks, freq[peak_picks], fixed_f0,
-    )
-    table = np.column_stack([theta, f0, np.full(rows, point.tQ)])
-    if "tQ" not in fixed and len(gaps) > 0:
-        m = site_roles(point.p).M - 1
-        idx = np.flatnonzero(ok)
-        lower, upper = gap_edges(evals[idx], theta[idx, 2], theta[idx, 0], theta[idx, 1])
-        has_gap = ~np.isnan(lower)
-        ok[idx] = has_gap
-        idx, lower, upper = idx[has_gap], lower[has_gap], upper[has_gap]
-        obs = np.asarray(gaps, dtype=float)[gap_picks[idx]]
-        tq, _, conv = _stage2_rows(
-            (evals[idx], evecs[idx, m], lower, upper), np.full(idx.size, point.tQ),
-            obs[..., 0], obs[..., 1], _tq_bound(point.tQ, lower, upper))
-        table[idx, -1] = tq
-        ok[idx] = conv
-    ok &= np.isfinite(table).all(axis=1) & (table[:, [0, 1, -1]] >= 0).all(axis=1)
-    table[~ok] = math.nan
-    return table[:, fitted]
 
 
 def bootstrap_fit(
@@ -636,9 +598,10 @@ def bootstrap_fit(
         gap_picks.append(rng.integers(0, len(gaps), len(gaps)) if gaps else np.array([], dtype=int))
     peak_picks, gap_picks = np.array(peak_picks), np.array(gap_picks)
 
+    starts = np.tile(_theta(point.best), (n, 1))
     table = np.concatenate([
-        _refit_block(point.best, fixed, peak_picks[lo:lo + BLOCK_ROWS],
-                     gap_picks[lo:lo + BLOCK_ROWS], freq, gaps)
+        _fit_block(point.best, fixed, starts[lo:lo + BLOCK_ROWS], peak_picks[lo:lo + BLOCK_ROWS],
+                   gap_picks[lo:lo + BLOCK_ROWS], freq, gaps)[0]
         for lo in range(0, n, BLOCK_ROWS)
     ])
     failed = np.isnan(table).any(axis=1)

@@ -85,6 +85,8 @@ def s_matrix(params: ModelParams, E: float, H: LabeledHamiltonian = None) -> SMa
 E_BLOCK = 128
 # stands in for an exact zero pivot of _half_chain's continued fractions
 PIVOT_FLOOR = 1e-200
+# resonance_grid's backbone reaches this far (MHz) beyond the outermost resonances
+GRID_PAD = 50.0
 
 
 def _half_chain(e: np.ndarray, diag: np.ndarray, bonds: np.ndarray):
@@ -184,7 +186,7 @@ def transmission_map(params: ModelParams, E_grid, VQ_grid, kind: str = "S_RL") -
     return SpectrumMap(E_grid=e_grid + params.f0, VQ_grid=vq_grid, values=values, kind=kind)
 
 
-def resonance_grid(params: ModelParams, n_points: int, pad: float = 50.0) -> np.ndarray:
+def resonance_grid(params: ModelParams, n_points: int) -> np.ndarray:
     """Probe-energy grid that resolves every resonance of the dressed chain.
 
     A uniform backbone spanning the spectrum is merged with a dense window
@@ -196,8 +198,8 @@ def resonance_grid(params: ModelParams, n_points: int, pad: float = 50.0) -> np.
         raise ParameterError(f"a resonance grid needs at least 3 points, got {n_points}")
     H = build_hamiltonian(params, include_ports=True)
     evals = np.linalg.eigvals(H.matrix)
-    lo = float(evals.real.min() - pad)
-    hi = float(evals.real.max() + pad)
+    lo = float(evals.real.min() - GRID_PAD)
+    hi = float(evals.real.max() + GRID_PAD)
 
     n_backbone = n_points // 2
     per_mode = max((n_points - n_backbone) // len(evals), 8)

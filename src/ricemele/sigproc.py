@@ -18,6 +18,8 @@ from .model import RAD_PER_NS_PER_MHZ
 
 # widest allowed filter transition band, MHz
 TRANSITION_BAND = 2.0
+# low-pass cutoff of bootstrap_amplitude's demodulator, MHz
+LPF_CUTOFF = 6.0
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,6 @@ def bootstrap_amplitude(
     samples,
     f_rabi: float,
     n: int = 10000,
-    lpf_cutoff: float = 6.0,
     seed: int = 0,
 ):
     """Bootstrap mean and std of the demodulated amplitude.
@@ -150,7 +151,7 @@ def bootstrap_amplitude(
     if n < 100:
         raise ParameterError(f"need at least 100 bootstrap samples, got {n}")
     t, x = _trace(t_ns, samples)
-    w, duration = _demodulation_weights(t, f_rabi, lpf_cutoff)
+    w, duration = _demodulation_weights(t, f_rabi, LPF_CUTOFF)
     rng = np.random.default_rng(seed)
 
     rows = x.reshape(-1, t.size)

@@ -146,6 +146,22 @@ def test_bidirectional_point_sits_at_defect_energy(fig1_params, fitted_params):
     assert bidirectional_point(fitted_params) == pytest.approx(17.6, abs=1.0)
 
 
+def test_bidirectional_point_solves_the_far_detuned_chain_once(monkeypatch, fitted_params):
+    import ricemele.edge_states as edge_states
+    import ricemele.spectral as spectral
+
+    real, solved = spectral.eigenmodes, []
+
+    def counted(H):
+        solved.append(H)
+        return real(H)
+
+    monkeypatch.setattr(spectral, "eigenmodes", counted)
+    monkeypatch.setattr(edge_states, "eigenmodes", counted)
+    bidirectional_point(fitted_params)
+    assert len(solved) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     vec=hnp.arrays(

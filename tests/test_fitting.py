@@ -21,10 +21,9 @@ from ricemele import (
     s_matrix,
 )
 from ricemele.fitting import (
-    FIT_NAMES, STAGE1_FREE, _gap_spectra, _theta, _tq_bound, _waveguide_patterns,
-    _waveguide_spectra,
+    FIT_NAMES, STAGE1_FREE, _theta, _tq_bound, _waveguide_patterns, _waveguide_spectra,
 )
-from ricemele.model import build_hamiltonian
+from ricemele.model import build_hamiltonian, gap_edges, site_roles
 from ricemele.scattering import _prominent_maxima
 
 from conftest import heuristic_block_gap
@@ -32,9 +31,16 @@ from conftest import heuristic_block_gap
 
 def _block(params, bounds=None):
     """(evals, psi_m, lower, upper) of the waveguide block of params, a stack
-    of one row for _arrow_gaps, as model_anticrossing_gap solves it."""
+    of one row for _arrow_gaps, as model_anticrossing_gap solves it, between
+    the gap edges bounds or, by default, those of model.gap_edges."""
     lam, _, z = _waveguide_spectra(_waveguide_patterns(params.p), _theta(params))
-    return _gap_spectra(lam, z, params, bounds)
+    lower, upper = bounds or gap_edges(lam, params.V, params.t1, params.t2)
+    return lam, z[:, site_roles(params.p).M - 1], np.atleast_1d(lower), np.atleast_1d(upper)
+
+
+def _starts(point, rows):
+    """The stage-1 starts of rows resamples: the point estimate in each."""
+    return np.tile(_theta(point), (rows, 1))
 
 
 def test_extract_peaks_sinusoid():
@@ -145,8 +151,8 @@ def test_fit_constant_shift_moves_only_f0():
 def test_fit_is_permutation_invariant(order):
     obs = _synthetic(2.0, 3)
     shuffled = PeakSet([obs.peaks.peaks[i] for i in order])
-    a = fit_hamiltonian(obs.peaks, obs.gaps, INITIAL, n_restarts=1, seed=1)
-    b = fit_hamiltonian(shuffled, obs.gaps, INITIAL, n_restarts=1, seed=1)
+    a = fit_hamiltonian(obs.peaks, obs.gaps, INITIAL, seed=1)
+    b = fit_hamiltonian(shuffled, obs.gaps, INITIAL, seed=1)
     for name in ("t1", "t2", "V", "VM", "tQ", "f0"):
         assert getattr(a.best, name) == getattr(b.best, name)
 
@@ -225,16 +231,20 @@ def test_bootstrap_aborts_when_refits_keep_failing(monkeypatch):
 
     obs = _synthetic(1.0, 13)
     point = fitting.fit_hamiltonian(obs.peaks, obs.gaps, INITIAL, seed=1)
-    real_refit_block = fitting._refit_block
+    real_fit_block, calls = fitting._fit_block, []
 
     def flaky(*args, **kwargs):
-        rows = real_refit_block(*args, **kwargs)
-        rows[1::2] = np.nan
-        return rows
+        table, sse1, sse2 = real_fit_block(*args, **kwargs)
+        calls.append(len(table))
+        # call 1 is the point fit; in the bootstrap's blocks every other resample fails
+        if len(calls) > 1:
+            table[1::2] = np.nan
+        return table, sse1, sse2
 
-    monkeypatch.setattr(fitting, "_refit_block", flaky)
+    monkeypatch.setattr(fitting, "_fit_block", flaky)
     with pytest.raises(fitting.NumericalError, match="50/100 bootstrap refits failed"):
         fitting.bootstrap_fit(obs, point.best, n=100, seed=1)
+    assert calls == [fitting.N_STARTS, 100]
 
 
 def test_bootstrap_counts_gap_rule_failure_as_one_failed_resample(monkeypatch):
@@ -246,18 +256,18 @@ def test_bootstrap_counts_gap_rule_failure_as_one_failed_resample(monkeypatch):
 
     def failing(energies, *args):
         lower, upper = real_gap_edges(energies, *args)
-        # one count per row: row 1 is the point fit; rows 2..13 are the first
-        # 12 of 100 resamples, which get no gap edges
+        # one count per row: rows 1..5 are the point fit's converged starts;
+        # rows 6..17 are the first 12 of 100 resamples, which get no gap edges
         row = calls["n"] + 1 + np.arange(np.size(lower)).reshape(np.shape(lower))
         calls["n"] += np.size(lower)
-        fail = (row >= 2) & (row <= 13)
+        fail = (row >= 6) & (row <= 17)
         return np.where(fail, np.nan, lower), np.where(fail, np.nan, upper)
 
     monkeypatch.setattr(fitting, "gap_edges", failing)
     # every other resample of these data fits
     with pytest.raises(fitting.NumericalError, match="12/100 bootstrap refits failed"):
         fitting.bootstrap_fit(obs, INITIAL, n=100, seed=1)
-    assert calls["n"] == 101
+    assert calls["n"] == 105
 
 
 def test_gap_model_edges_of_fitted_device(fitted_params):
@@ -515,13 +525,14 @@ def _resamples(obs, seed, n):
 
 
 def test_batched_refits_match_per_sample_oracle():
-    from ricemele.fitting import _refit_block
+    from ricemele.fitting import _fit_block
 
     obs = _synthetic(1.0, 3)
     point = fit_hamiltonian(obs.peaks, obs.gaps, INITIAL, seed=1).best
     freq = np.sort(obs.peaks.frequencies())
     peak_picks, gap_picks = _resamples(obs, 3, 32)
-    rows = _refit_block(point, frozenset(), peak_picks, gap_picks, freq, obs.gaps)
+    rows, _, _ = _fit_block(point, frozenset(), _starts(point, 32), peak_picks, gap_picks, freq,
+                            obs.gaps)
     for row, peaks, picks in zip(rows, peak_picks, gap_picks):
         oracle = _fit_once(point, frozenset(), np.random.default_rng(0), 1,
                            peaks, freq[peaks], [obs.gaps[i] for i in picks])
@@ -540,7 +551,7 @@ def _resample_sse(params, obs, peaks, picks):
 def test_stage2_stays_in_the_basin_of_the_point_estimate():
     # the bounded scalar search over [0, 4 tQ] ends at a distant local
     # minimum for this resample; Gauss-Newton from the point estimate does not
-    from ricemele.fitting import _refit_block
+    from ricemele.fitting import _fit_block
 
     obs = _synthetic(1.0, 5)
     # the point fit of these data, pinned: the scalar search's path over
@@ -552,7 +563,8 @@ def test_stage2_stays_in_the_basin_of_the_point_estimate():
     freq = np.sort(obs.peaks.frequencies())
     peaks = np.array([12, 17, 7, 6, 15, 0, 3, 3, 7, 2, 15, 16, 7, 0, 13, 2, 11, 3, 17])
     picks = np.array([4, 1, 1, 2, 2])
-    [row] = _refit_block(point, frozenset(), peaks[None], picks[None], freq, obs.gaps)
+    [row], _, _ = _fit_block(point, frozenset(), _starts(point, 1), peaks[None], picks[None],
+                             freq, obs.gaps)
     new = point.with_(**dict(zip(FIT_NAMES, row)))
     old = _fit_once(point, frozenset(), np.random.default_rng(0), 1,
                     peaks, freq[peaks], [obs.gaps[i] for i in picks])
@@ -585,14 +597,16 @@ def test_resample_without_a_valid_tq_is_a_failed_refit():
     # this resample's refit drifts to V ~ 0, where stage 1 stalls; the
     # oracle's heuristic gap rule moves the lower gap edge to zero there and
     # leaves VQ = 0 and -20 MHz outside the gap
-    from ricemele.fitting import _refit_block
+    from ricemele.fitting import _fit_block
 
     obs = _synthetic(2.0, 0)
     point = fit_hamiltonian(obs.peaks, obs.gaps, INITIAL, seed=1).best
     freq = np.sort(obs.peaks.frequencies())
     peaks = np.array([17, 5, 15, 12, 0, 7, 16, 10, 0, 14, 13, 16, 3, 1, 16, 0, 10, 1, 5])
     picks = np.array([2, 3, 1, 4, 0])
-    assert np.isnan(_refit_block(point, frozenset(), peaks[None], picks[None], freq, obs.gaps)).all()
+    table, _, _ = _fit_block(point, frozenset(), _starts(point, 1), peaks[None], picks[None],
+                             freq, obs.gaps)
+    assert np.isnan(table).all()
     with pytest.raises(NumericalError, match="two in-gap levels"):
         _fit_once(point, frozenset(), np.random.default_rng(0), 1,
                   peaks, freq[peaks], [obs.gaps[i] for i in picks])
@@ -606,7 +620,8 @@ def test_an_unconverged_row_is_a_counted_failed_resample(monkeypatch):
     point = before.best
     freq = np.sort(obs.peaks.frequencies())
     peak_picks, gap_picks = _resamples(obs, 3, 4)
-    rows = fitting._refit_block(point, frozenset(), peak_picks, gap_picks, freq, obs.gaps)
+    rows, _, _ = fitting._fit_block(point, frozenset(), _starts(point, 4), peak_picks, gap_picks,
+                                    freq, obs.gaps)
     assert before.n_failed == 0 and not np.isnan(rows).any()
 
     real, calls = fitting._stage1_rows, []
@@ -621,7 +636,8 @@ def test_an_unconverged_row_is_a_counted_failed_resample(monkeypatch):
         return theta, f0, sse, converged, spectra
 
     monkeypatch.setattr(fitting, "_stage1_rows", first_row_stalls)
-    stalled = fitting._refit_block(point, frozenset(), peak_picks, gap_picks, freq, obs.gaps)
+    stalled, _, _ = fitting._fit_block(point, frozenset(), _starts(point, 4), peak_picks,
+                                       gap_picks, freq, obs.gaps)
     assert np.isnan(stalled[0]).all()
     np.testing.assert_array_equal(stalled[1:], rows[1:])
     after = bootstrap_fit(obs, INITIAL, n=100, seed=2)
@@ -713,15 +729,14 @@ def test_gap_model_from_stage1_eigenpairs_is_bit_identical(seed):
     # the bootstrap's stage 2 reads each row's waveguide block from stage 1:
     # the one-row solve of model_anticrossing_gap gives the same bits
     from ricemele.fitting import _stage1_rows
-    from ricemele.model import gap_edges, site_roles
 
     obs = _fit_workload_inputs(seed)
     point = fit_hamiltonian(obs.peaks, obs.gaps, INITIAL, seed=seed).best
     freq = np.sort(obs.peaks.frequencies())
     peak_picks, _ = _resamples(obs, seed, 40)
-    starts = np.tile([getattr(point, n) for n in STAGE1_FREE], (len(peak_picks), 1))
-    theta, _, _, ok, (evals, evecs) = _stage1_rows(
-        _waveguide_patterns(point.p), [0, 1, 2, 3], starts, peak_picks, freq[peak_picks], None)
+    theta, _, _, ok, (evals, evecs) = _stage1_rows(_waveguide_patterns(point.p), [0, 1, 2, 3],
+                                                   _starts(point, 40), peak_picks,
+                                                   freq[peak_picks], None)
     m = site_roles(point.p).M - 1
     rows = np.flatnonzero(ok)
     assert rows.size >= 30
@@ -731,6 +746,20 @@ def test_gap_model_from_stage1_eigenpairs_is_bit_identical(seed):
         assert evals[r].tobytes() == want[0][0].tobytes()
         assert evecs[r, m].tobytes() == want[1][0].tobytes()
         assert (lower[j], upper[j]) == (want[2][0], want[3][0])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_refit_of_the_unresampled_data_is_the_point_fit(seed):
+    # the point fit and the bootstrap are rows of one two-stage solve, so a
+    # refit of the data themselves from the point estimate moves no bit
+    from ricemele.fitting import _fit_block
+
+    obs = _fit_workload_inputs(seed)
+    point = fit_hamiltonian(obs.peaks, obs.gaps, INITIAL, seed=seed).best
+    freq = np.sort(obs.peaks.frequencies())
+    [row], _, _ = _fit_block(point, frozenset(), _starts(point, 1), np.arange(19)[None],
+                             np.arange(len(obs.gaps))[None], freq, obs.gaps)
+    assert row.tobytes() == np.array([getattr(point, n) for n in FIT_NAMES]).tobytes()
 
 
 def _bulk_rule_by_hand(energies, v, t1, t2):

@@ -19,6 +19,7 @@ setting OpenBLAS read.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -257,6 +258,47 @@ def test_every_exported_name_has_a_caller():
              repo / "tests" / "test_acceptance.py"]
     used = set().union(*map(_references, paths))
     assert sorted(set(ricemele.__all__) - used) == []
+
+
+def _calls(path):
+    """(called name, positional argument count, keyword names) of every call
+    in a Python file, by the bare name or the attribute called."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(
+                node.func, "attr", None)
+            yield name, len(node.args), {k.arg for k in node.keywords}
+
+
+# defaults of public functions that no caller sets, each with its reason
+UNSET_DEFAULTS = {
+    # the tests also start from the excited state (tests/test_dynamics.py,
+    # test_bloch_undriven_relaxation and test_bloch_trace_below_the_old_stepping_floor)
+    "bloch_rabi_trace.s0",
+}
+
+
+def test_every_default_argument_has_a_caller():
+    # a default that no caller sets is an option to keep tested for nothing;
+    # a module constant does its job. The callers are those of
+    # test_every_exported_name_has_a_caller
+    repo = SRC.parent.parent
+    paths = [*SRC.glob("*.py"), *(repo / "scripts").glob("*.py"),
+             repo / "tests" / "test_acceptance.py"]
+    calls = [call for path in paths for call in _calls(path)]
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    unset = set()
+    for name in ricemele.__all__:
+        func = getattr(ricemele, name)
+        if not inspect.isfunction(func):
+            continue
+        for i, param in enumerate(inspect.signature(func).parameters.values()):
+            if param.default is not inspect.Parameter.empty and not any(
+                    called == name and (param.name in keywords
+                                        or (param.kind in positional and n_args > i))
+                    for called, n_args, keywords in calls):
+                unset.add(f"{name}.{param.name}")
+    assert sorted(unset) == sorted(UNSET_DEFAULTS)
 
 
 # the variable and the process's thread count after a cold CLI import
