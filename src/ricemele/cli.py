@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -20,7 +19,12 @@ import numpy as np
 
 from . import _OPENBLAS_THREADS_READ, __version__
 from .errors import DataFormatError, NotFoundError, NumericalError, ParameterError, RiceMeleError
-from .model import ModelParams, Peak, PeakSet, build_hamiltonian, read_csv, read_text
+from .model import (MAX_MATRIX_BYTES, ModelParams, Peak, PeakSet, _finite_fields, _write_json,
+                    build_hamiltonian, read_csv, read_text)
+
+# the device fitted to the measured spectra, shared by fig3-fig5
+_FITTED_DEVICE = {"p": "4", "V": "40", "t1": "230", "t2": "280", "tQ": "130", "VQ": "17.6",
+                  "VM": "590", "sigmaL_im": "-18", "sigmaR_im": "-18"}
 
 PRESETS = {
     # ideal chain: two in-gap states, unidirectional at VQ = -V and +V
@@ -31,28 +35,20 @@ PRESETS = {
     },
     # fitted device: 19-peak transmission spectrum and the gap anti-crossing
     "fig3": {
-        "p": "4", "V": "40", "t1": "230", "t2": "280", "tQ": "130",
-        "VQ": "17.6", "VM": "590",
-        "sigmaL_im": "-18", "sigmaR_im": "-18",
+        **_FITTED_DEVICE,
         "E_points": "2001", "map_kind": "S_RL", "peak_prominence": "0.001",
         "VQ_start": "-60", "VQ_stop": "95", "VQ_points": "63",
     },
     # fitted device: full S-matrix zoom around the in-gap anti-crossing
     "fig4": {
-        "p": "4", "V": "40", "t1": "230", "t2": "280", "tQ": "130",
-        "VQ": "17.6", "VM": "590",
-        "sigmaL_im": "-18", "sigmaR_im": "-18",
-        "E_start": "-70", "E_stop": "90", "E_points": "321",
-        "map_kind": "all",
+        **_FITTED_DEVICE,
+        "E_start": "-70", "E_stop": "90", "E_points": "321", "map_kind": "all",
         "VQ_start": "-60", "VQ_stop": "95", "VQ_points": "63",
     },
     # qubit emission at the leftward working point
     "fig5": {
-        "p": "4", "V": "40", "t1": "230", "t2": "280", "tQ": "130",
-        "VQ": "-40", "VM": "590",
-        "sigmaL_im": "-18", "sigmaR_im": "-18",
-        "t_stop": "1500", "t_points": "3001",
-        "rabi_freq": "25", "drive_ns": "600",
+        **_FITTED_DEVICE, "VQ": "-40",
+        "t_stop": "1500", "t_points": "3001", "rabi_freq": "25", "drive_ns": "600",
     },
     # measured amplitude quadruple for the directionality estimate
     "appc": {
@@ -141,10 +137,16 @@ class RunConfig:
         return np.linspace(start, stop, points)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _checked_points(cfg: RunConfig, key: str, width: int, default=None) -> int:
+    """cfg's grid count key, checked before any allocation to be positive and to
+    keep a (count x width) complex array, the command's largest, in MAX_MATRIX_BYTES."""
+    count = cfg.integer(key, default)
+    if count < 1:
+        raise ParameterError(f"{key} must be at least 1, got {count}")
+    if 16 * count * width > MAX_MATRIX_BYTES:
+        raise ParameterError(f"{key} = {count}: a {count} x {width} array of complex values "
+                             f"would exceed {MAX_MATRIX_BYTES} bytes")
+    return count
 
 
 def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs: list) -> Path:
@@ -174,6 +176,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path) -> list:
     from .spectral import sweep_qubit_energy, write_sweep_csv
 
     params = cfg.model()
+    _checked_points(cfg, "VQ_points", 4 * params.p + 4)
     vq_grid = cfg.grid("VQ")
     sweep = sweep_qubit_energy(params, vq_grid)
     sweep_path = outdir / "sweep.csv"
@@ -214,6 +217,7 @@ def cmd_scatter(cfg: RunConfig, outdir: Path) -> list:
     )
 
     params = cfg.model()
+    _checked_points(cfg, "VQ_points", cfg.integer("E_points", 2001))
     vq_grid = cfg.grid("VQ")
     far = params.far_detuned()
     far_grid = resonance_grid(far, cfg.integer("E_points", 2001))
@@ -255,7 +259,8 @@ def cmd_emit(cfg: RunConfig, outdir: Path) -> list:
     from .edge_states import directionality
 
     params = cfg.model()
-    t_grid = np.linspace(0.0, cfg.number("t_stop", 1500.0), cfg.integer("t_points", 3001))
+    t_grid = np.linspace(0.0, cfg.number("t_stop", 1500.0),
+                         _checked_points(cfg, "t_points", 4 * params.p + 4, 3001))
 
     H = build_hamiltonian(params, include_ports=True)
     psi0 = np.zeros(H.roles.dim, dtype=complex)
@@ -297,20 +302,6 @@ def cmd_emit(cfg: RunConfig, outdir: Path) -> list:
         "bloch_w_right": w_right,
     })
     return [lattice_path, bloch_path, summary_path]
-
-
-def _finite_fields(path, line: int, row: list, n: int, what: str) -> list:
-    """The first n fields of a CSV row as finite floats; DataFormatError
-    naming the file and line if there are fewer or one is not a finite number."""
-    try:
-        values = [float(x) for x in row[:n]]
-    except ValueError:
-        values = []
-    if len(values) < n:
-        raise DataFormatError(f"{path}: malformed {what} row {row}", line=line)
-    if not all(map(math.isfinite, values)):
-        raise DataFormatError(f"{path}: non-finite value in {what} row {row}", line=line)
-    return values
 
 
 def _read_peaks_csv(path) -> PeakSet:

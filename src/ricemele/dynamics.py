@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, NotFoundError, NumericalError, ParameterError
-from .model import RAD_PER_NS_PER_MHZ, LabeledHamiltonian, ModelParams, build_hamiltonian, read_csv
+from .model import (RAD_PER_NS_PER_MHZ, LabeledHamiltonian, ModelParams, _finite_fields,
+                    build_hamiltonian, read_csv)
 from .spectral import BandGap, eigenmodes, far_detuned_gap, in_gap_indices
 
 # eigenvector matrices worse-conditioned than this are treated as defective:
@@ -296,15 +297,8 @@ def read_trace_csv(path) -> TimeTrace:
     for lineno, row in records:
         if len(row) != width:
             raise DataFormatError(f"{path}: wrong column count", line=lineno)
-        try:
-            rows.append([float(x) for x in row])
-        except ValueError:
-            raise DataFormatError(f"{path}: malformed trace row {row}", line=lineno) from None
+        rows.append(_finite_fields(path, lineno, row, width, "trace"))
     table = np.array(rows).reshape(len(rows), width)
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if bad.size:
-        lineno, row = records[bad[0]]
-        raise DataFormatError(f"{path}: non-finite value in trace row {row}", line=lineno)
     t = table[:, 0]
     channels = {name: table[:, 1 + 2 * j] + 1j * table[:, 2 + 2 * j] for j, name in enumerate(names)}
     return TimeTrace(t_grid=t, channels=channels)

@@ -5,18 +5,20 @@ far-detuned transmission peaks pin the waveguide parameters (t1, t2, V, VM)
 plus a global frequency offset f0, and the anti-crossing gap sizes then pin
 the qubit coupling tQ.
 
-Both stages are damped Gauss-Newton solves with exact Jacobians: the
-Hamiltonian is linear in its parameters, so by the Hellmann-Feynman theorem
-the derivative of an eigenvalue is the expectation value of a constant
-matrix in an eigenvector that the eigensolve already returns. The solver
-works on a stack of rows at once, the restarts of the point fit or a block
-of bootstrap resamples, and needs only numpy. A row it cannot converge is a
-failed restart or a failed resample. Such rows exist: H(V) and H(-V) are
-mirror images, so every eigenvalue is even in V, V = 0 is stationary for
-every residual, and a resample that wanders there stalls. At V = 0 the
-chiral zero mode, dark at M, is a level inside the gap, so the smallest
-in-gap splitting can be its spacing to a qubit level, which stage 2 may
-not fit either.
+Both stages run the one Levenberg-Marquardt loop, _levenberg_marquardt,
+with one stop rule; a stage is only the function that evaluates its rows.
+The Jacobians are exact: H is linear in its parameters, so by the
+Hellmann-Feynman theorem the derivative of an eigenvalue is the
+expectation value of a constant matrix in an eigenvector that the
+eigensolve already returns. The solver works on a stack of rows at once,
+the restarts of the point fit or a block of bootstrap resamples, and needs
+only numpy. Its stop rule leaves stage 2's tQ within about 1e-5 MHz of the
+optimum. A row it cannot converge is a failed restart or a failed
+resample. Such rows exist: H(V) and H(-V) are mirror images, so every
+eigenvalue is even in V, V = 0 is stationary for every residual, and a
+resample that wanders there stalls. At V = 0 the chiral zero mode, dark at
+M, is a level inside the gap, so the smallest in-gap splitting can be its
+spacing to a qubit level, which stage 2 may not fit either.
 
 Stage 2 solves no matrix. In the eigenbasis of the waveguide block the
 qubit couples to every mode through its amplitude at M, so the levels are
@@ -58,7 +60,7 @@ FIT_NAMES = STAGE1_FREE + ("f0", "tQ")
 BLOCK_ROWS = 256
 # stage-1 starts of the point fit: the initial guess and random starts around it
 N_STARTS = 5
-# Gauss-Newton steps before a row is reported unconverged
+# Levenberg-Marquardt steps before a row is reported unconverged
 MAX_ITER = 50
 # a row has converged once its next step would move no parameter by more
 # (MHz), or would lower its sum of squares by no more than this fraction
@@ -96,15 +98,9 @@ class FitResult:
 
     def parameter_table(self) -> dict:
         """Per-parameter {best, p2_5, p97_5, std} for JSON output."""
-        table = {}
-        for name in FIT_NAMES:
-            table[name] = {
-                "best": getattr(self.best, name),
-                "p2_5": self.percentile_2_5.get(name),
-                "p97_5": self.percentile_97_5.get(name),
-                "std": self.std.get(name),
-            }
-        return table
+        return {name: {"best": getattr(self.best, name), "p2_5": self.percentile_2_5.get(name),
+                       "p97_5": self.percentile_97_5.get(name), "std": self.std.get(name)}
+                for name in FIT_NAMES}
 
 
 def _waveguide_patterns(p: int):
@@ -133,7 +129,7 @@ def _waveguide_blocks(patterns, theta: np.ndarray) -> np.ndarray:
 
 def _theta(params: ModelParams) -> np.ndarray:
     """(t1, t2, V, VM) of params as a stack of one row."""
-    return np.array([[getattr(params, n) for n in STAGE1_FREE]])
+    return np.array([[getattr(params, n) for n in STAGE1_FREE]], dtype=float)
 
 
 def _waveguide_spectra(patterns, theta: np.ndarray):
@@ -169,90 +165,114 @@ def model_anticrossing_gap(params: ModelParams, vq: float) -> float:
     return float(gaps[0, 0])
 
 
+def _levenberg_marquardt(evaluate, theta, state, box):
+    """Levenberg-Marquardt on every row of a stack at once: the fit's one
+    least-squares solver.
+
+    Row r starts from theta[r] and stays in the box = (lower, upper), both
+    broadcast to theta's shape: a step that would leave it is clipped.
+    evaluate(rows, theta, state) gives the residuals (observation - model)
+    of the rows listed, the model's Jacobian (rows, m, k) and their state at
+    theta, a tuple of per-row arrays; it is passed each row's state at its
+    last accepted point (state itself first). A step that raises the sum of
+    squares (or makes it nan) multiplies the damping mu by 10; an accepted
+    one scales mu by max(1/3, 1 - (2 rho - 1)^3), with rho the achieved over
+    the predicted reduction (Nielsen's rule).
+
+    A row has converged when mu <= 1, every diagonal entry of J^T J is
+    positive and its next step moves no parameter by more than STEP_TOL or
+    promises to lower the sum of squares by no more than the fraction FTOL;
+    only the other rows are iterated again. Rows left after MAX_ITER steps,
+    whose mu passes MU_MAX or whose J^T J has a condition number above
+    COND_MAX are reported unconverged. Returns theta, the sum of squares
+    (nan where unconverged) and converged (rows,), and the state of each
+    row's returned theta.
+    """
+    theta = np.array(theta, dtype=float)
+    lower, upper = (np.broadcast_to(b, theta.shape) for b in box)
+    rows, k = theta.shape
+    sse, converged = np.full(rows, math.nan), np.zeros(rows, dtype=bool)
+    act = np.arange(rows)
+    res, jac, state = evaluate(act, theta, state)
+    cost = np.einsum("ri,ri->r", res, res)
+    mu = np.full(rows, MU_START)
+    eye = np.eye(k)
+    for _ in range(MAX_ITER):
+        jt = jac.transpose(0, 2, 1)
+        jtj = jt @ jac
+        grad = (jt @ res[:, :, None])[:, :, 0]
+        diag = np.diagonal(jtj, axis1=1, axis2=2)
+        step = np.linalg.solve(jtj + mu[:, None, None] * np.maximum(diag, 1e-12)[:, :, None] * eye,
+                               grad[:, :, None])[:, :, 0]
+        step = np.clip(step, lower[act] - theta[act], upper[act] - theta[act])
+        gain = 2.0 * np.einsum("ri,ri->r", step, grad) - np.einsum(
+            "ri,rij,rj->r", step, jtj, step)
+        done = (mu <= 1.0) & (diag > 0).all(axis=1) & (
+            (np.abs(step).max(axis=1) <= STEP_TOL) | (gain <= FTOL * cost))
+        sse[act[done]], converged[act[done]] = cost[done], True
+
+        curvatures = np.linalg.eigvalsh(jtj)
+        keep = ~done & (curvatures[:, -1] < COND_MAX * curvatures[:, 0])
+        act, res, jac, cost, mu, step, gain = (
+            x[keep] for x in (act, res, jac, cost, mu, step, gain))
+        if act.size == 0:
+            break
+        finite = np.isfinite(step).all(axis=1)
+        trial = theta[act] + np.where(finite[:, None], step, 0.0)
+        t_res, t_jac, t_state = evaluate(act, trial, tuple(x[act] for x in state))
+        t_cost = np.einsum("ri,ri->r", t_res, t_res)
+        accept = finite & (t_cost <= cost)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = (cost - t_cost) / gain
+        theta[act[accept]] = trial[accept]
+        for x, t in zip(state, t_state):
+            x[act[accept]] = t[accept]
+        res[accept], jac[accept], cost[accept] = t_res[accept], t_jac[accept], t_cost[accept]
+        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.clip(rho, 0.0, 1.0) - 1.0) ** 3)
+        mu = np.where(accept, np.maximum(mu * shrink, MU_MIN), mu * 10.0)
+
+        keep = mu <= MU_MAX
+        act, res, jac, cost, mu = act[keep], res[keep], jac[keep], cost[keep], mu[keep]
+    return theta, sse, converged, state
+
+
 def _stage1_rows(patterns, free, starts, pair_idx, pair_freq, fixed_f0):
-    """Levenberg-Marquardt on every row of a stack at once.
+    """Stage 1 on every row of a stack at once, by _levenberg_marquardt.
 
     Row r starts from starts[r] = (t1, t2, V, VM), fits the columns listed
     in free and matches pair_freq[r] to the eigenvalues of rank pair_idx[r].
     f0 is profiled out by centring the residuals and the Jacobian, unless
-    fixed_f0 gives it. A step that would make t1 or t2 negative, or that
-    raises the sum of squares, is rejected and multiplies the damping mu by
-    10; an accepted step scales mu by max(1/3, 1 - (2 rho - 1)^3), with rho
-    the achieved over the predicted reduction (Nielsen's rule). A start with
-    t1 or t2 negative is not iterated.
+    fixed_f0 gives it. The residuals are nan where t1 or t2 is negative, so
+    no step goes there and a start there does not converge.
 
     Returns theta (rows, 4), f0, sse and converged (rows,), and the
     eigenvalues (rows, n) and eigenvector columns (rows, n, n) of each row's
-    waveguide block at its returned theta (nan for a start not iterated),
-    which the gap model reuses. A row has
-    converged when, with mu <= 1, its next step moves no parameter by more
-    than STEP_TOL or promises to lower the sum of squares by no more than
-    the fraction FTOL; only the other rows are iterated again. Rows left
-    after MAX_ITER steps, whose mu passes MU_MAX or whose J^T J has a
-    condition number above COND_MAX are reported unconverged.
+    waveguide block, which the gap model reuses, both at its returned theta.
     """
     theta = np.array(starts, dtype=float)
-    rows = len(theta)
-    f0, sse = np.full(rows, math.nan), np.full(rows, math.nan)
-    converged = np.zeros(rows, dtype=bool)
-    n = patterns[0].shape[1]
-    lam_out, z_out = np.full((rows, n), math.nan), np.full((rows, n, n), math.nan)
 
-    def evaluate(th, idx, freq):
+    def evaluate(rows, x, state):
+        th = theta[rows]
+        th[:, free] = x
         lam, jac, z = _waveguide_spectra(patterns, th)
-        res = freq - np.take_along_axis(lam, idx, axis=1)
-        jac = np.take_along_axis(jac, idx[:, :, None], axis=1)[:, :, free]
+        res = pair_freq[rows] - np.take_along_axis(lam, pair_idx[rows], axis=1)
+        jac = np.take_along_axis(jac, pair_idx[rows][:, :, None], axis=1)[:, :, free]
         if fixed_f0 is None:
             off = res.mean(axis=1)
             jac = jac - jac.mean(axis=1, keepdims=True)
         else:
             off = np.full(len(th), float(fixed_f0))
         res = res - off[:, None]
-        return res, jac, off, np.einsum("ri,ri->r", res, res), lam, z
+        res[(th[:, 0] < 0) | (th[:, 1] < 0)] = math.nan
+        return res, jac, (off, lam, z)
 
-    act = np.flatnonzero((theta[:, 0] >= 0) & (theta[:, 1] >= 0))
-    res, jac, off, cost, lam_out[act], z_out[act] = evaluate(
-        theta[act], pair_idx[act], pair_freq[act])
     if not free:
-        f0[act], sse[act], converged[act] = off, cost, True
-        return theta, f0, sse, converged, (lam_out, z_out)
-    mu = np.full(act.size, MU_START)
-    eye = np.eye(len(free))
-    for _ in range(MAX_ITER):
-        jt = jac.transpose(0, 2, 1)
-        jtj = jt @ jac
-        grad = (jt @ res[:, :, None])[:, :, 0]
-        scale = np.maximum(np.diagonal(jtj, axis1=1, axis2=2), 1e-12)
-        step = np.linalg.solve(jtj + mu[:, None, None] * scale[:, :, None] * eye,
-                               grad[:, :, None])[:, :, 0]
-        gain = 2.0 * np.einsum("ri,ri->r", step, grad) - np.einsum(
-            "ri,rij,rj->r", step, jtj, step)
-        done = (mu <= 1.0) & ((np.abs(step).max(axis=1) <= STEP_TOL) | (gain <= FTOL * cost))
-        f0[act[done]], sse[act[done]], converged[act[done]] = off[done], cost[done], True
-
-        curvatures = np.linalg.eigvalsh(jtj)
-        keep = ~done & (curvatures[:, -1] < COND_MAX * curvatures[:, 0])
-        act, res, jac, off, cost, mu, step = (
-            act[keep], res[keep], jac[keep], off[keep], cost[keep], mu[keep], step[keep])
-        if act.size == 0:
-            break
-        finite = np.isfinite(step).all(axis=1)
-        trial = theta[act]
-        trial[:, free] += np.where(finite[:, None], step, 0.0)
-        t_res, t_jac, t_off, t_cost, t_lam, t_z = evaluate(trial, pair_idx[act], pair_freq[act])
-        accept = finite & (trial[:, 0] >= 0) & (trial[:, 1] >= 0) & (t_cost <= cost)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = (cost - t_cost) / gain[keep]
-        theta[act[accept]] = trial[accept]
-        lam_out[act[accept]], z_out[act[accept]] = t_lam[accept], t_z[accept]
-        res[accept], jac[accept], off[accept], cost[accept] = (
-            t_res[accept], t_jac[accept], t_off[accept], t_cost[accept])
-        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.clip(rho, 0.0, 1.0) - 1.0) ** 3)
-        mu = np.where(accept, np.maximum(mu * shrink, MU_MIN), mu * 10.0)
-
-        keep = mu <= MU_MAX
-        act, res, jac, off, cost, mu = act[keep], res[keep], jac[keep], off[keep], cost[keep], mu[keep]
-    return theta, f0, sse, converged, (lam_out, z_out)
+        res, _, (f0, lam, z) = evaluate(np.arange(len(theta)), theta[:, free], ())
+        sse = np.einsum("ri,ri->r", res, res)
+        return theta, f0, sse, np.isfinite(sse), (lam, z)
+    theta[:, free], sse, converged, (f0, lam, z) = _levenberg_marquardt(
+        evaluate, theta[:, free], (), (-np.inf, np.inf))
+    return theta, f0, sse, converged, (lam, z)
 
 
 def _secular(poles, weights, left, vq, x):
@@ -405,58 +425,28 @@ def _arrow_gaps(evals, psi_m, lower, upper, tq, vqs, start=None):
 
 
 def _stage2_rows(spectra, tq0, vqs, sizes, hi):
-    """Gauss-Newton on tQ in [0, hi[r]] for every row at once.
+    """Stage 2, tQ in [0, hi[r]], on every row at once, by
+    _levenberg_marquardt.
 
     Row r fits the gap sizes sizes[r] at the qubit energies vqs[r] with the
     waveguide block spectra = (evals, psi_m, lower, upper) of _arrow_gaps,
-    starting from tq0[r]. Each evaluation seeds its secular roots with those
-    of the row's last accepted tQ. A step that leaves any drawn VQ without
-    two in-gap levels, or raises the sum of squares, is halved. Returns tq,
-    sse and converged (rows,): a row converges once its next step would move
-    tQ by no more than STEP_TOL; only the other rows are iterated again. A
-    row whose start has fewer than two in-gap levels at some VQ, whose
-    splittings do not depend on tQ, or that is left after MAX_ITER steps is
-    reported unconverged.
+    starting from tq0[r]. A row's state, the secular roots that seed its
+    next evaluation, is padded with nan (a bracket's midpoint then) to one
+    bracket more than the block has modes. A residual is nan where a drawn
+    VQ has fewer than two in-gap levels. Returns tq, sse and converged.
     """
-    rows = len(spectra[0])
-    tq = np.clip(np.asarray(tq0, dtype=float), 0.0, hi)
-    sse = np.full(rows, math.nan)
-    converged = np.zeros(rows, dtype=bool)
+    rows, n = spectra[0].shape
 
-    def evaluate(a, t, start=None):
-        gap, slope, roots = _arrow_gaps(*(x[a] for x in spectra), t, vqs[a], start)
-        res = sizes[a] - gap
-        return res, slope, np.einsum("ri,ri->r", res, res), roots
+    def evaluate(a, tq, state):
+        gap, slope, roots = _arrow_gaps(*(x[a] for x in spectra), tq[:, 0], vqs[a], state[0])
+        padded = np.full(state[0].shape, math.nan)
+        padded[..., :roots.shape[-1]] = roots
+        return sizes[a] - gap, slope[:, :, None], (padded,)
 
-    def gauss_newton(res, slope):
-        curvature = np.einsum("ri,ri->r", slope, slope)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.einsum("ri,ri->r", slope, res) / curvature
-
-    act = np.arange(rows)
-    res, slope, cost, roots = evaluate(act, tq)
-    step = gauss_newton(res, slope)
-    for _ in range(MAX_ITER):
-        usable = np.isfinite(cost) & np.isfinite(step)
-        act, res, slope, cost, step, roots = (
-            act[usable], res[usable], slope[usable], cost[usable], step[usable], roots[usable])
-        trial = np.clip(tq[act] + step, 0.0, hi[act])
-        done = np.abs(trial - tq[act]) <= STEP_TOL
-        sse[act[done]], converged[act[done]] = cost[done], True
-        keep = ~done
-        act, res, slope, cost, step, trial, roots = (
-            act[keep], res[keep], slope[keep], cost[keep], step[keep], trial[keep], roots[keep])
-        if act.size == 0:
-            break
-        t_res, t_slope, t_cost, t_roots = evaluate(act, trial, roots)
-        accept = t_cost <= cost
-        tq[act[accept]] = trial[accept]
-        width = min(roots.shape[-1], t_roots.shape[-1])
-        roots[accept, :, :width] = t_roots[accept, :, :width]
-        roots[accept, :, width:] = math.nan
-        res[accept], slope[accept], cost[accept] = t_res[accept], t_slope[accept], t_cost[accept]
-        step = np.where(accept, gauss_newton(res, slope), 0.5 * step)
-    return tq, sse, converged
+    tq, sse, converged, _ = _levenberg_marquardt(
+        evaluate, np.clip(tq0, 0.0, hi)[:, None], (np.full((rows, vqs.shape[1], n + 1), math.nan),),
+        (0.0, hi[:, None]))
+    return tq[:, 0], sse, converged
 
 
 def _tq_bound(tq0, lower, upper):
@@ -519,12 +509,11 @@ def fit_hamiltonian(
     list order is irrelevant. f0 is profiled out analytically (the optimal
     offset for fixed shape parameters is the mean residual). The initial
     guess and N_STARTS - 1 random starts around it are fitted as one block
-    of _fit_block on the unresampled data: stage 1 by Levenberg-Marquardt
-    with exact Hellmann-Feynman Jacobians, stage 2 by Gauss-Newton on tQ
-    from the initial tQ, which must be nonzero: at tQ = 0 no gap size
-    depends on tQ. The fit is the row of the converged stage-1 start with
-    the lowest stage-1 sum of squares. Raises NumericalError when no start
-    converges in stage 1 or that row's fit failed.
+    of _fit_block on the unresampled data. Stage 2 starts from the initial
+    tQ, which must be nonzero: at tQ = 0 no gap size depends on tQ. The fit
+    is the row of the converged stage-1 start with the lowest stage-1 sum of
+    squares. Raises NumericalError when no start converges in stage 1 or
+    that row's fit failed.
     """
     fixed = frozenset(fixed)
     unknown = fixed - set(FIT_NAMES)
@@ -612,8 +601,7 @@ def bootstrap_fit(
         )
     table = table[~failed]
 
-    p2, p97 = {}, {}
-    std, med = {}, {}
+    p2, p97, std, med = {}, {}, {}, {}
     for j, name in enumerate(n_ for n_ in FIT_NAMES if n_ not in fixed):
         lo, hi = percentile(table[:, j])
         p2[name], p97[name] = float(lo), float(hi)

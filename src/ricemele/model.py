@@ -13,6 +13,8 @@ from __future__ import annotations
 import cmath
 import csv
 import io
+import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -297,3 +299,24 @@ def read_csv(path):
     except csv.Error as exc:
         raise DataFormatError(f"{path}: {exc}", line=reader.line_num) from None
     return header, rows
+
+
+def _finite_fields(path, line: int, row: list, n: int, what: str) -> list:
+    """The first n fields of a CSV row as finite floats; DataFormatError
+    naming the file and line if there are fewer or one is not a finite number."""
+    try:
+        values = [float(x) for x in row[:n]]
+    except ValueError:
+        values = []
+    if len(values) < n:
+        raise DataFormatError(f"{path}: malformed {what} row {row}", line=line)
+    if not all(map(math.isfinite, values)):
+        raise DataFormatError(f"{path}: non-finite value in {what} row {row}", line=line)
+    return values
+
+
+def _write_json(path, payload: dict) -> None:
+    """payload as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

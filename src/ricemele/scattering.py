@@ -4,14 +4,13 @@ spectrum."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .model import (LabeledHamiltonian, ModelParams, Peak, PeakSet, _waveguide_tridiagonal,
-                    build_hamiltonian, site_roles, unique)
+                    _write_json, build_hamiltonian, site_roles, unique)
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,8 @@ def _chain_greens(params: ModelParams, e: np.ndarray) -> np.ndarray:
     Green's function of Lee & Fisher (PRL 47, 882 (1981)). M splits the
     chain, so with each side's _half_chain, G0_MM = 1 / (E - VM - sigma_L -
     sigma_R) and G0_ab = delta_ab g_a + t_a t_b G0_MM (t_M = 1): one G0_MM
-    in every entry. NumericalError where it is singular (t1 = 0, E == VM)."""
+    in every entry. A zero 1 / G0_MM (M cut off by t1 = 0, at E == VM) becomes
+    PIVOT_FLOOR: t_L = t_R = 0 there, so G0_MM drops out of every port entry."""
     d, b = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
     d = d.astype(complex)
     d[[0, -1]] += params.sigmaL, params.sigmaR
@@ -126,7 +126,9 @@ def _chain_greens(params: ModelParams, e: np.ndarray) -> np.ndarray:
         g_l, sigma_l, t_l = _half_chain(e, d[:m], b[:m])
         g_r, sigma_r, t_r = _half_chain(e, d[:m:-1], b[:m - 1:-1])
         t = np.stack([t_l, t_r, np.ones_like(t_l)], axis=1)
-        g0 = t[:, :, None] * t[:, None, :] / (e - d[m] - sigma_l - sigma_r)[:, None, None]
+        inv_mm = e - d[m] - sigma_l - sigma_r
+        inv_mm[inv_mm == 0] = PIVOT_FLOOR
+        g0 = t[:, :, None] * t[:, None, :] / inv_mm[:, None, None]
         g0[:, 0, 0] += g_l
         g0[:, 1, 1] += g_r
     bad = ~np.isfinite(g0).all(axis=(1, 2))
@@ -245,9 +247,7 @@ def write_map_header_json(path, smap: SpectrumMap, csv_name: str) -> None:
         "E_range_MHz": [float(smap.E_grid[0]), float(smap.E_grid[-1])],
         "VQ_range_MHz": [float(smap.VQ_grid[0]), float(smap.VQ_grid[-1])],
     }
-    with open(path, "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, header)
 
 
 def _prominent_maxima(y: np.ndarray, min_prominence: float) -> np.ndarray:

@@ -59,6 +59,11 @@ def test_empty_vq_grid_is_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2, err
         assert "usage error: a resonance grid needs at least 3 points" in err
+    # a negative time grid count used to escape as numpy's ValueError
+    cfg.write_text("t_points = -1\n")
+    rc = _run(["emit", "--preset", "fig5", "--config", cfg, "--out", tmp_path / "out"])
+    assert rc == 2
+    assert "usage error: t_points must be at least 1, got -1" in capsys.readouterr().err
 
 
 def test_chain_too_long_for_a_dense_matrix_is_usage_error(tmp_path, capsys):
@@ -75,6 +80,22 @@ def test_chain_too_long_for_a_dense_matrix_is_usage_error(tmp_path, capsys):
             assert rc == 2, err
             assert f"usage error: p = {p}: a dense (4p+4)^2 complex Hamiltonian" in err
             assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, preset, key", [
+    ("spectrum", "fig1", "VQ_points"), ("scatter", "fig3", "VQ_points"),
+    ("scatter", "fig3", "E_points"), ("emit", "fig5", "t_points"),
+])
+def test_grid_too_large_for_memory_is_usage_error(tmp_path, capsys, command, preset, key):
+    # rejected on the count alone, before any allocation; numpy used to raise
+    # _ArrayMemoryError ("Unable to allocate 72.8 TiB") at 10**13 points
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"{key} = {10**13}\n")
+    rc = _run([command, "--preset", preset, "--config", cfg, "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "10000000000000" in err and "would exceed 1073741824 bytes" in err
+    assert "Traceback" not in err
 
 
 def test_non_finite_config_is_usage_error(tmp_path, capsys):
@@ -466,8 +487,9 @@ def test_missing_input_file_is_a_data_error(tmp_path, capsys):
     assert "absent.csv: cannot read" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row, line", [(b"8,nan,0\n", 4), (b"8,0.1,\xff\n", 4)],
-                         ids=["nan-sample", "latin1-sample"])
+@pytest.mark.parametrize("row, line", [(b"8,nan,0\n", 4), (b"8,0.1,\xff\n", 4),
+                                       (b"8,nan,0\n10,x,0\n", 4)],
+                         ids=["nan-sample", "latin1-sample", "nan-before-malformed"])
 def test_chi_trace_defects_are_data_errors(tmp_path, capsys, row, line):
     trace = tmp_path / "trace.csv"
     trace.write_bytes(b"t_ns,port_L_re,port_L_im\n0,0.5,0\n4,0.25,0\n" + row + b"12,0,0\n")

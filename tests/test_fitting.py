@@ -182,6 +182,17 @@ def test_fit_respects_fixed_mask():
         fit_hamiltonian(obs.peaks, obs.gaps, INITIAL, fixed=("bogus",))
 
 
+def test_fit_from_integer_valued_params_is_the_float_fit():
+    # ModelParams accepts ints; the fit must not build its parameter stack as ints
+    obs = _synthetic(2.0, 3)
+    as_int = ModelParams(p=4, V=30, t1=200, t2=300, tQ=100, VQ=0, VM=550, f0=4550)
+    as_float = ModelParams(p=4, V=30.0, t1=200.0, t2=300.0, tQ=100.0, VQ=0.0, VM=550.0,
+                           f0=4550.0)
+    for fixed in ((), ("V", "f0")):
+        assert (fit_hamiltonian(obs.peaks, obs.gaps, as_int, fixed=fixed, seed=1)
+                == fit_hamiltonian(obs.peaks, obs.gaps, as_float, fixed=fixed, seed=1))
+
+
 def test_fit_requires_matching_peak_count():
     obs = _synthetic(0.0, 0)
     short = PeakSet(obs.peaks.peaks[:5])

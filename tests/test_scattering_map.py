@@ -196,12 +196,16 @@ def test_decoupled_qubit_on_the_grid_is_numerical_error(fitted_params, kind):
         transmission_map(params, np.linspace(-50, 50, 11), [-30.0, 0.0], kind=kind)
 
 
-def test_singular_qubit_free_chain_is_numerical_error(fitted_params):
-    # t1 = 0 cuts M off the chain, so E - H0 is singular at E == VM
+def test_map_with_m_cut_off_matches_dense_oracle(fitted_params):
+    # t1 = 0 cuts M off the chain, so E - H0 is singular at E == VM, while
+    # the full G, with M bound to the qubit, is regular there
     params = fitted_params.with_(t1=0.0)
-    e_grid = np.concatenate([np.linspace(0, 500, 200), [params.VM]])
-    with pytest.raises(NumericalError):
-        transmission_map(params, e_grid, [-40.0, 0.0])
+    e_grid = np.array([100.0, params.VM])
+    dense = _dense_maps(params, e_grid, [-40.0], MAP_KINDS)
+    for kind in MAP_KINDS:
+        fast = transmission_map(params, e_grid, [-40.0], kind=kind).values
+        assert np.max(np.abs(fast - dense[kind])) <= 1e-12, kind
+    assert np.array_equal(dense["S_LL"], [[1.0], [1.0]]) and not dense["S_RL"].any()
 
 
 def test_zero_pivot_of_a_port_free_piece_matches_dense_oracle():
@@ -226,7 +230,7 @@ def _scatter_cfg(tmp_path, **changes):
     return cfg
 
 
-@pytest.mark.parametrize("changes", [{"tQ": 0}, {"t1": 0}], ids=["tQ0_E_eq_VQ", "t1_0_E_eq_VM"])
+@pytest.mark.parametrize("changes", [{"tQ": 0}], ids=["tQ0_E_eq_VQ"])
 def test_cli_singular_map_exits_numerical(tmp_path, capsys, changes):
     cfg = _scatter_cfg(tmp_path, **changes)
     rc = main(["scatter", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -234,6 +238,13 @@ def test_cli_singular_map_exits_numerical(tmp_path, capsys, changes):
     assert rc == 4
     assert "numerical error" in err and "Traceback" not in err
     assert not list((tmp_path / "out").glob("map_*.csv"))
+
+
+def test_cli_map_with_m_cut_off_exits_zero(tmp_path):
+    # t1 = 0 with E == VM on the grid: the map is regular there
+    cfg = _scatter_cfg(tmp_path, t1=0)
+    assert main(["scatter", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "map_S_RL.csv").read_text().count("\n") == 1 + 41 * 3
 
 
 def _csv_writer_oracle(path, smap):
