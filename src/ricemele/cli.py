@@ -236,10 +236,8 @@ def cmd_scatter(cfg: RunConfig, outdir: Path) -> list:
 
     # peak report on a dedicated far-detuned slice
     smap = transmission_map(far, far_grid, [far.VQ], kind="S_RL")
-    peaks = extract_peaks(
-        smap.E_grid, smap.values[:, 0], cfg.number("peak_prominence", 1e-3),
-        flux_or_vq=far.VQ, source="far-detuned model slice",
-    )
+    peaks = extract_peaks(smap.E_grid, smap.values[:, 0], cfg.number("peak_prominence", 1e-3),
+                          flux_or_vq=far.VQ)
     peaks_path = outdir / "far_detuned_peaks.csv"
     with open(peaks_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -309,7 +307,7 @@ def _read_peaks_csv(path) -> PeakSet:
     if header is None or [c.strip() for c in header[:3]] != ["flux_or_VQ", "frequency_MHz", "amplitude"]:
         raise DataFormatError(f"{path}: expected header flux_or_VQ,frequency_MHz,amplitude", line=1)
     peaks = [Peak(*_finite_fields(path, line, row, 3, "peak")) for line, row in rows]
-    return PeakSet(peaks=peaks, source=str(path))
+    return PeakSet(peaks=peaks)
 
 
 def _read_gaps_csv(path) -> list:
@@ -357,7 +355,7 @@ def cmd_chi(cfg: RunConfig, outdir: Path, trace_paths) -> list:
     from .sigproc import SignalAmplitudes, bootstrap_amplitude, chi_estimate
 
     labels = ("lL", "lR", "rL", "rR")
-    if trace_paths:
+    if trace_paths is not None:
         from .dynamics import read_trace_csv
 
         if len(trace_paths) != 4:

@@ -280,18 +280,17 @@ def write_trace_csv(path, trace: TimeTrace) -> None:
 
 
 def read_trace_csv(path) -> TimeTrace:
-    """Read a TimeTrace written by write_trace_csv.
+    """Read a TimeTrace written by write_trace_csv: a header of t_ns, then
+    one <name>_re,<name>_im pair per channel.
 
     Malformed or non-finite data raise DataFormatError naming the file and line.
     """
     header, records = read_csv(path)
     if header is None:
         raise DataFormatError(f"{path}: empty trace file", line=1)
-    names = []
-    for col in header[1::2]:
-        if not col.endswith("_re"):
-            raise DataFormatError(f"{path}: malformed trace header {header}", line=1)
-        names.append(col[:-3])
+    names = [col[:-3] for col in header[1::2]]
+    if header != ["t_ns"] + [f"{n}_{part}" for n in names for part in ("re", "im")]:
+        raise DataFormatError(f"{path}: malformed trace header {header}", line=1)
     width = 1 + 2 * len(names)
     rows = []
     for lineno, row in records:

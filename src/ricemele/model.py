@@ -179,7 +179,6 @@ class Peak:
 @dataclass(frozen=True)
 class PeakSet:
     peaks: list
-    source: str = ""
 
     def frequencies(self) -> np.ndarray:
         return np.array([p.frequency for p in self.peaks])

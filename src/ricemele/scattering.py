@@ -1,6 +1,7 @@
-"""Green's-function two-port scattering: maps in O(p) per energy, the dense
-point solve s_matrix that is their oracle, and the peaks of a transmission
-spectrum."""
+"""Green's-function two-port scattering: one Green's function of the
+port-dressed chain, by continued fractions in O(p) per energy with the qubit
+folded in at M, behind both the point amplitudes s_matrix and the maps; and
+the peaks of a transmission spectrum."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import (LabeledHamiltonian, ModelParams, Peak, PeakSet, _waveguide_tridiagonal,
-                    _write_json, build_hamiltonian, site_roles, unique)
+from .model import (ModelParams, Peak, PeakSet, _waveguide_tridiagonal, _write_json,
+                    build_hamiltonian, site_roles, unique)
 
 
 @dataclass(frozen=True)
@@ -42,42 +43,6 @@ class SpectrumMap:
 
 
 MAP_KINDS = ("S_LL", "S_LR", "S_RL", "S_RR", "LDOS")
-
-
-def _columns(H: LabeledHamiltonian, E: float, sites: list) -> np.ndarray:
-    """Columns of G(E) at the 1-based sites, cheaper than the full inverse."""
-    n = H.matrix.shape[0]
-    a = E * np.eye(n, dtype=complex) - H.matrix
-    rhs = np.zeros((n, len(sites)), dtype=complex)
-    rhs[np.subtract(sites, 1), np.arange(len(sites))] = 1.0
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"(E*I - H) singular at E = {E} MHz") from exc
-
-
-def s_matrix(params: ModelParams, E: float, H: LabeledHamiltonian = None) -> SMatrixPoint:
-    """Two-probe scattering amplitudes from the port-dressed Green's function.
-
-    With Gamma_p = -2 Im(sigma_p): S_RL = i sqrt(Gamma_L Gamma_R) G_RL,
-    S_LL = -1 + i Gamma_L G_LL, and the symmetric counterparts. Ports must be
-    lossy (strictly negative Im sigma) for the formula to make sense.
-    """
-    gamma_l, gamma_r = params.port_rates()
-    if gamma_l <= 0 or gamma_r <= 0:
-        raise ParameterError("both ports must be lossy: Im(sigma) < 0")
-    if H is None:
-        H = build_hamiltonian(params, include_ports=True)
-    g = _columns(H, E, [H.roles.portL, H.roles.portR])
-    il, ir = H.roles.portL - 1, H.roles.portR - 1
-    root = np.sqrt(gamma_l * gamma_r)
-    return SMatrixPoint(
-        E=float(E),
-        S_LL=-1.0 + 1j * gamma_l * g[il, 0],
-        S_LR=1j * root * g[il, 1],
-        S_RL=1j * root * g[ir, 0],
-        S_RR=-1.0 + 1j * gamma_r * g[ir, 1],
-    )
 
 
 # probe energies per block of transmission_map's (E, VQ) qubit fold
@@ -137,16 +102,56 @@ def _chain_greens(params: ModelParams, e: np.ndarray) -> np.ndarray:
     return g0
 
 
+def _fold(e: np.ndarray, vq: np.ndarray, tq2: float, g0: np.ndarray, a: int, b: int) -> np.ndarray:
+    """G_ab of the chain with the qubit at M, shape (len(e), len(vq)), from
+    G0's (portL, portR, M) block g0 at the energies e. The qubit couples
+    only to M, so its self-energy folds in exactly:
+    G_ab = G0_ab + f G0_aM G0_Mb with f = tQ^2 / (E - VQ - tQ^2 G0_MM).
+    Raises NumericalError where f's denominator is 0 (tQ = 0 at E == VQ)."""
+    den = e[:, None] - vq[None, :] - tq2 * g0[:, 2, 2, None]
+    if np.any(den == 0):
+        i, j = np.argwhere(den == 0)[0]
+        raise NumericalError(f"qubit self-energy singular at E = {e[i]} MHz, VQ = {vq[j]} MHz")
+    return g0[:, a, b, None] + tq2 / den * (g0[:, a, 2] * g0[:, b, 2])[:, None]
+
+
+def s_matrix(params: ModelParams, E: float) -> SMatrixPoint:
+    """Two-probe scattering amplitudes from the port-dressed Green's function.
+
+    G is transmission_map's: _chain_greens at E, then the qubit _fold. With
+    Gamma_p = -2 Im(sigma_p), the Fisher-Lee relation (PRB 23, 6851 (1981))
+    gives S_RL = i sqrt(Gamma_L Gamma_R) G_RL, S_LL = -1 + i Gamma_L G_LL
+    and the symmetric counterparts (G is symmetric, so S_LR = S_RL). Ports
+    must be lossy (strictly negative Im sigma) for the formula to make sense.
+    Raises NumericalError where G is singular at E.
+    """
+    gamma_l, gamma_r = params.port_rates()
+    if gamma_l <= 0 or gamma_r <= 0:
+        raise ParameterError("both ports must be lossy: Im(sigma) < 0")
+    e, vq = np.array([float(E)]), np.array([float(params.VQ)])
+    g0 = _chain_greens(params, e)
+    g_ll, g_rl, g_rr = (complex(_fold(e, vq, params.tQ ** 2, g0, a, b)[0, 0])
+                        for a, b in ((0, 0), (1, 0), (1, 1)))
+    if not np.isfinite([g_ll, g_rl, g_rr]).all():
+        raise NumericalError(f"non-finite Green's function at E = {E} MHz")
+    root = np.sqrt(gamma_l * gamma_r)
+    return SMatrixPoint(
+        E=float(E),
+        S_LL=-1.0 + 1j * gamma_l * g_ll,
+        S_LR=1j * root * g_rl,
+        S_RL=1j * root * g_rl,
+        S_RR=-1.0 + 1j * gamma_r * g_rr,
+    )
+
+
 def transmission_map(params: ModelParams, E_grid, VQ_grid, kind: str = "S_RL") -> SpectrumMap:
     """|S| or LDOS (at the left port) over the grid, through the qubit self-energy.
 
-    The qubit couples only to the central site M, so it folds exactly into
-    the Green's function G0 of the port-dressed chain without it:
-    G_ab = G0_ab + f G0_aM G0_Mb with f = tQ^2 / (E - VQ - tQ^2 G0_MM).
-    G0's (portL, portR, M) block comes from _chain_greens for the whole E
-    grid; the fold runs on blocks of E_BLOCK energies, with the VQ axis a
-    broadcast. The amplitudes then follow from the Fisher-Lee relation of
-    s_matrix, and LDOS is -Im G_LL / pi.
+    The Green's function is s_matrix's: G0's (portL, portR, M) block comes
+    from _chain_greens for the whole E grid, and the qubit _fold runs on
+    blocks of E_BLOCK energies, with the VQ axis a broadcast. The amplitudes
+    then follow from the Fisher-Lee relation of s_matrix, and LDOS is
+    -Im G_LL / pi.
 
     The stored E axis carries the global offset f0 so maps line up with lab
     spectra; the model itself is evaluated at the offset-free energies.
@@ -171,12 +176,7 @@ def transmission_map(params: ModelParams, E_grid, VQ_grid, kind: str = "S_RL") -
     for start in range(0, e_grid.size, E_BLOCK):
         block = slice(start, start + E_BLOCK)
         e, g0 = e_grid[block], g0_grid[block]
-        den = e[:, None] - vq_grid[None, :] - tq2 * g0[:, 2, 2, None]
-        if np.any(den == 0):
-            i, j = np.argwhere(den == 0)[0]
-            raise NumericalError(
-                f"qubit self-energy singular at E = {e[i]} MHz, VQ = {vq_grid[j]} MHz")
-        g = g0[:, a, b, None] + tq2 / den * (g0[:, a, 2] * g0[:, b, 2])[:, None]
+        g = _fold(e, vq_grid, tq2, g0, a, b)
         if kind == "LDOS":
             values[block] = -g.imag / np.pi
         elif a != b:
@@ -281,7 +281,6 @@ def extract_peaks(
     amplitudes,
     min_prominence: float,
     flux_or_vq: float = 0.0,
-    source: str = "",
 ) -> PeakSet:
     """Local maxima with the requested prominence, parabolically refined.
 
@@ -308,4 +307,4 @@ def extract_peaks(
         freq = x[i] + shift * (0.5 * (x[i + 1] - x[i - 1]))
         amp = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
         peaks.append(Peak(flux_or_vq=float(flux_or_vq), frequency=float(freq), amplitude=float(amp)))
-    return PeakSet(peaks=peaks, source=source)
+    return PeakSet(peaks=peaks)

@@ -59,19 +59,56 @@ def heuristic_block_gap(params):
     return None if gap is None else gap[:2]
 
 
+def _dense_columns(H, E, sites):
+    """Columns of G(E) = (E - H)^-1 at the 1-based sites, by one dense solve."""
+    from ricemele import NumericalError
+
+    n = H.matrix.shape[0]
+    a = E * np.eye(n, dtype=complex) - H.matrix
+    rhs = np.zeros((n, len(sites)), dtype=complex)
+    rhs[np.subtract(sites, 1), np.arange(len(sites))] = 1.0
+    try:
+        return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"(E*I - H) singular at E = {E} MHz") from exc
+
+
+def dense_s_matrix(params, E, H=None):
+    """s_matrix from one dense solve of the full port-dressed matrix (or of
+    H, if given), through the same Fisher-Lee relation: the point oracle of
+    the continued fractions. On a state deep in the gap it loses every digit
+    (see test_scattering_map._clear_of_levels)."""
+    from ricemele import ParameterError, SMatrixPoint, build_hamiltonian
+
+    gamma_l, gamma_r = params.port_rates()
+    if gamma_l <= 0 or gamma_r <= 0:
+        raise ParameterError("both ports must be lossy: Im(sigma) < 0")
+    if H is None:
+        H = build_hamiltonian(params, include_ports=True)
+    g = _dense_columns(H, E, [H.roles.portL, H.roles.portR])
+    il, ir = H.roles.portL - 1, H.roles.portR - 1
+    root = np.sqrt(gamma_l * gamma_r)
+    return SMatrixPoint(
+        E=float(E),
+        S_LL=-1.0 + 1j * gamma_l * g[il, 0],
+        S_LR=1j * root * g[il, 1],
+        S_RL=1j * root * g[ir, 0],
+        S_RR=-1.0 + 1j * gamma_r * g[ir, 1],
+    )
+
+
 def ldos(params, E, site, H=None):
     """Local density of states -(1/pi) Im G(E) at a 1-based site, per MHz,
     from one dense solve of the port-dressed chain: the point oracle of
     transmission_map's LDOS."""
     from ricemele import ParameterError, build_hamiltonian
-    from ricemele.scattering import _columns
 
     if H is None:
         H = build_hamiltonian(params, include_ports=True)
     n = H.matrix.shape[0]
     if not 1 <= site <= n:
         raise ParameterError(f"site must be in 1..{n}, got {site}")
-    return float(-_columns(H, E, [site])[site - 1, 0].imag / np.pi)
+    return float(-_dense_columns(H, E, [site])[site - 1, 0].imag / np.pi)
 
 
 def demodulate_amplitude(t_ns, samples, f_rabi, lpf_cutoff=6.0):

@@ -105,8 +105,7 @@ def test_criterion_3_nineteen_peaks():
     start = time.perf_counter()
     far = FITTED.with_(VQ=10 * max(FITTED.t1, FITTED.t2) + FITTED.VM)
     grid = resonance_grid(far, 4000)
-    H = build_hamiltonian(far, include_ports=True)
-    values = np.array([abs(s_matrix(far, e, H=H).S_RL) for e in grid])
+    values = np.array([abs(s_matrix(far, e).S_RL) for e in grid])
     peaks, _ = find_peaks(values, prominence=1e-3)
     elapsed = time.perf_counter() - start
     above_floor = int(np.sum(values[peaks] > 10 ** (-40 / 20)))

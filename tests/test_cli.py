@@ -257,6 +257,23 @@ def test_emit_all_left_zeroes_port_r(tmp_path):
     assert summary["dressed_T1_ns"] == pytest.approx(123.3, abs=1.0)
 
 
+def test_emit_T2_and_detuning_set_the_free_precession(tmp_path):
+    # once the drive is off (600 ns in fig5), |sigma_minus| decays as
+    # exp(-t / T2) and its phase turns at -detuning
+    cfg = tmp_path / "emit.cfg"
+    cfg.write_text("T2_ns = 80\ndetuning = 2\n")
+    assert _run(["emit", "--preset", "fig5", "--config", cfg, "--out", tmp_path]) == 0
+    rows = _read_csv(tmp_path / "bloch.csv")
+    header, table = rows[0], np.array(rows[1:], dtype=float)
+    t = table[:, header.index("t_ns")]
+    late = dict(zip(header, table[(t >= 700) & (t <= 1000)].T))
+    z = late["sigma_minus_re"] + 1j * late["sigma_minus_im"]
+    decay = np.polyfit(late["t_ns"], np.log(np.abs(z)), 1)[0]
+    turn = np.polyfit(late["t_ns"], np.unwrap(np.angle(z)), 1)[0]
+    assert -1.0 / decay == pytest.approx(80.0, rel=1e-6)
+    assert turn / (2e-3 * np.pi) == pytest.approx(-2.0, rel=1e-6)
+
+
 def _write_fit_inputs(tmp_path):
     truth = ModelParams(p=2, V=40.0, t1=60.0, t2=180.0, tQ=60.0, VQ=0.0, VM=0.0, f0=4500.0)
     peaks = tmp_path / "peaks.csv"
@@ -426,6 +443,16 @@ def test_chi_traces_on_two_grids_match_one_call_per_trace(tmp_path, monkeypatch,
         assert (payload["s_values"][f"s_{label}"], payload["s_stds"][f"s_{label}"]) == (mean, std)
 
 
+@pytest.mark.parametrize("preset", [["--preset", "appc"], []], ids=["appc", "no-config"])
+def test_chi_traces_without_files_is_usage_error(tmp_path, capsys, preset):
+    # an empty --traces is a trace run with the wrong file count, not an amplitude run
+    rc = _run(["chi", *preset, "--traces", "--out", tmp_path])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "--traces needs exactly 4 files" in err
+    assert not (tmp_path / "chi.json").exists()
+
+
 @pytest.mark.parametrize("config, header_channel, asked", [
     ("trace_channel = nope\n", "port_L", "nope"),
     ("", "sig", "port_L"),
@@ -487,12 +514,20 @@ def test_missing_input_file_is_a_data_error(tmp_path, capsys):
     assert "absent.csv: cannot read" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row, line", [(b"8,nan,0\n", 4), (b"8,0.1,\xff\n", 4),
-                                       (b"8,nan,0\n10,x,0\n", 4)],
-                         ids=["nan-sample", "latin1-sample", "nan-before-malformed"])
-def test_chi_trace_defects_are_data_errors(tmp_path, capsys, row, line):
+_TRACE_HEADER = b"t_ns,port_L_re,port_L_im\n"
+
+
+@pytest.mark.parametrize("header, row, line", [
+    (_TRACE_HEADER, b"8,nan,0\n", 4), (_TRACE_HEADER, b"8,0.1,\xff\n", 4),
+    (_TRACE_HEADER, b"8,nan,0\n10,x,0\n", 4),
+    # the first column is t_ns, and each pair names one channel
+    (b"t_ns,port_L_re,port_R_im\n", b"8,0,0\n", 1),
+    (b"time,port_L_re,port_L_im\n", b"8,0,0\n", 1),
+], ids=["nan-sample", "latin1-sample", "nan-before-malformed", "mixed-channel-pair",
+        "no-t_ns-column"])
+def test_chi_trace_defects_are_data_errors(tmp_path, capsys, header, row, line):
     trace = tmp_path / "trace.csv"
-    trace.write_bytes(b"t_ns,port_L_re,port_L_im\n0,0.5,0\n4,0.25,0\n" + row + b"12,0,0\n")
+    trace.write_bytes(header + b"0,0.5,0\n4,0.25,0\n" + row + b"12,0,0\n")
     cfg = tmp_path / "chi.cfg"
     cfg.write_text("rabi_freq = 25\nn_bootstrap = 100\ntrace_channel = port_L\n")
     rc = _run(["chi", "--config", cfg, "--traces", trace, trace, trace, trace,

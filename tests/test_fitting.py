@@ -23,7 +23,7 @@ from ricemele import (
 from ricemele.fitting import (
     FIT_NAMES, STAGE1_FREE, _theta, _tq_bound, _waveguide_patterns, _waveguide_spectra,
 )
-from ricemele.model import build_hamiltonian, gap_edges, site_roles
+from ricemele.model import gap_edges, site_roles
 from ricemele.scattering import _prominent_maxima
 
 from conftest import heuristic_block_gap
@@ -64,8 +64,7 @@ def test_extract_peaks_two_lorentzians():
 def test_extract_peaks_on_model_spectrum(fitted_params):
     far = fitted_params.far_detuned()
     grid = resonance_grid(far, 2001)
-    H = build_hamiltonian(far, include_ports=True)
-    values = np.array([abs(s_matrix(far, e, H=H).S_RL) for e in grid])
+    values = np.array([abs(s_matrix(far, e).S_RL) for e in grid])
     peaks = extract_peaks(grid, values, 1e-3)
     assert len(peaks) == 19
     # the numpy peak search picks the samples scipy's find_peaks picks
@@ -120,7 +119,7 @@ INITIAL = TRUTH.with_(t1=200.0, t2=300.0, V=30.0, VM=550.0, tQ=100.0, f0=4550.0)
 def _synthetic(jitter, seed):
     r = np.random.default_rng(seed)
     freqs = model_peak_frequencies(TRUTH) + r.normal(0.0, jitter, 4 * TRUTH.p + 3)
-    peaks = PeakSet([Peak(0.0, float(f), 1.0) for f in freqs], source="synthetic")
+    peaks = PeakSet([Peak(0.0, float(f), 1.0) for f in freqs])
     gaps = [
         (vq, model_anticrossing_gap(TRUTH, vq) + r.normal(0.0, jitter)) for vq in GAP_VQS
     ]

@@ -4,6 +4,7 @@ from scipy.signal import find_peaks
 
 from ricemele import (
     ModelParams,
+    NumericalError,
     ParameterError,
     build_hamiltonian,
     far_detuned_gap,
@@ -14,7 +15,7 @@ from ricemele import (
 from ricemele.model import LabeledHamiltonian, SiteRoles
 from ricemele.scattering import SpectrumMap, write_map_csv, write_map_header_json
 
-from conftest import ldos
+from conftest import dense_s_matrix, ldos
 
 
 def _single_site(epsilon, sigma_l, sigma_r):
@@ -39,17 +40,18 @@ def test_greens_poles_match_eigenvalues(rng):
 
 def test_single_site_lorentzian_line():
     # one site, two equal ports: |S_RL| is a Lorentzian of half-width Gamma,
-    # unity on resonance where the reflection vanishes
+    # unity on resonance where the reflection vanishes; a check of the dense
+    # oracle on a matrix of its own
     eps, gamma = 10.0, 9.0
     params = ModelParams(p=1, V=0.0, t1=1.0, t2=1.0, tQ=0.0, VQ=0.0,
                          sigmaL=-0.5j * gamma, sigmaR=-0.5j * gamma)
     H = _single_site(eps, -0.5j * gamma, -0.5j * gamma)
     for e in np.linspace(eps - 40, eps + 40, 41):
-        s = s_matrix(params, e, H=H)
+        s = dense_s_matrix(params, e, H=H)
         expected_t = 1j * gamma / (e - eps + 1j * gamma)
         assert s.S_RL == pytest.approx(expected_t, abs=1e-12)
         assert s.S_LL == pytest.approx(expected_t - 1.0, abs=1e-12)
-    on = s_matrix(params, eps, H=H)
+    on = dense_s_matrix(params, eps, H=H)
     assert abs(on.S_RL) == pytest.approx(1.0, abs=1e-12)
     assert abs(on.S_LL) == pytest.approx(0.0, abs=1e-12)
 
@@ -68,8 +70,7 @@ def test_lossless_ports_rejected(fitted_params):
 def test_nineteen_transmission_peaks(fitted_params):
     far = fitted_params.far_detuned()
     grid = resonance_grid(far, 2001)
-    H = build_hamiltonian(far, include_ports=True)
-    values = np.array([abs(s_matrix(far, e, H=H).S_RL) for e in grid])
+    values = np.array([abs(s_matrix(far, e).S_RL) for e in grid])
     peaks, _ = find_peaks(values, prominence=1e-3)
     assert len(peaks) == 19
     assert np.all(values[peaks] > 10 ** (-40 / 20))
@@ -88,6 +89,23 @@ def test_reciprocity_and_flux_conservation(rng):
         assert abs(s.S_RL - s.S_LR) < 1e-10
         assert abs(s.S_LL) ** 2 + abs(s.S_RL) ** 2 == pytest.approx(1.0, abs=1e-8)
         assert abs(s.S_RR) ** 2 + abs(s.S_LR) ** 2 == pytest.approx(1.0, abs=1e-8)
+
+
+def test_transmission_deep_in_the_gap_of_a_long_chain():
+    # a state deep in the gap is narrower than 1e-14 MHz, and on it the dense
+    # solve returns |S_RL| of about 1e-24; an 80-digit solve gives 0.97651
+    params = ModelParams(p=34, V=28.314, t1=70.555, t2=267.536, tQ=0.0, VQ=500.0, VM=0.0,
+                         sigmaL=2.788 - 15.363j, sigmaR=-3.562 - 9.960j)
+    assert abs(s_matrix(params, 0.0).S_RL) == pytest.approx(0.97651, abs=1e-3)
+
+
+def test_s_matrix_at_the_singular_points_of_the_fold(fitted_params):
+    # tQ = 0 at E == VQ: the qubit's self-energy has a zero denominator
+    with pytest.raises(NumericalError):
+        s_matrix(fitted_params.with_(tQ=0.0, VQ=5.0), 5.0)
+    # t1 = 0 cuts M off the chain; its level at E == VM never reaches a port
+    s = s_matrix(fitted_params.with_(t1=0.0), fitted_params.VM)
+    assert abs(s.S_LL) == pytest.approx(1.0, abs=1e-15) and s.S_RL == 0
 
 
 def test_map_constant_when_qubit_decoupled(fitted_params):
@@ -124,8 +142,8 @@ def test_reflection_magnitudes_equal_without_interior_loss(fitted_params):
 
     for e0 in (lower, upper):
         es = np.linspace(e0.real - 10, e0.real + 10, 201)
-        sll = np.array([abs(s_matrix(params, e, H=H).S_LL) for e in es])
-        srr = np.array([abs(s_matrix(params, e, H=H).S_RR) for e in es])
+        sll = np.array([abs(s_matrix(params, e).S_LL) for e in es])
+        srr = np.array([abs(s_matrix(params, e).S_RR) for e in es])
         assert np.max(np.abs(sll - srr)) < 1e-10
 
     # leftward lower branch: spectral weight at port L, none at port R
@@ -168,7 +186,7 @@ def test_peaks_sit_on_poles(fitted_params):
     far = fitted_params.far_detuned()
     grid = resonance_grid(far, 2001)
     H = build_hamiltonian(far, include_ports=True)
-    values = np.array([abs(s_matrix(far, e, H=H).S_RL) for e in grid])
+    values = np.array([abs(s_matrix(far, e).S_RL) for e in grid])
     peaks, _ = find_peaks(values, prominence=1e-3)
     lam = np.linalg.eigvals(H.matrix)
     gamma = max(far.port_rates())

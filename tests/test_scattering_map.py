@@ -1,8 +1,8 @@
-"""transmission_map through the qubit self-energy against the dense point API.
+"""transmission_map and s_matrix, one Green's function, against dense solves.
 
-s_matrix and conftest's ldos solve the full port-dressed matrix at one
-(E, VQ) point; they are the oracle for the folded map, and csv.writer is the
-oracle for write_map_csv.
+conftest's dense_s_matrix and ldos solve the full port-dressed matrix at one
+(E, VQ) point; they are the oracle for the folded map and for s_matrix, and
+csv.writer is the oracle for write_map_csv.
 """
 
 import csv
@@ -24,11 +24,11 @@ from ricemele import (
 from ricemele.cli import PRESETS, RunConfig, main
 from ricemele.scattering import MAP_KINDS, SpectrumMap, write_map_csv
 
-from conftest import ldos
+from conftest import dense_s_matrix, ldos
 
 
 def _dense_maps(params, e_grid, vq_grid, kinds):
-    """Every requested map from one s_matrix / ldos solve per point."""
+    """Every requested map from one dense_s_matrix / ldos solve per point."""
     out = {k: np.empty((len(e_grid), len(vq_grid))) for k in kinds}
     amplitudes = [k for k in kinds if k != "LDOS"]
     for j, vq in enumerate(vq_grid):
@@ -38,7 +38,7 @@ def _dense_maps(params, e_grid, vq_grid, kinds):
             if "LDOS" in out:
                 out["LDOS"][i, j] = ldos(pj, e, H.roles.portL, H=H)
             if amplitudes:
-                s = s_matrix(pj, e, H=H)
+                s = dense_s_matrix(pj, e, H=H)
                 for k in amplitudes:
                     out[k][i, j] = abs(getattr(s, k))
     return out
@@ -83,6 +83,12 @@ def test_map_matches_dense_point_oracle(p, t1, t2, v, vm, tq, vq, dvq, sigma_l, 
         fast = transmission_map(params, e_grid, vq_grid, kind=kind).values
         scale = np.max(np.abs(dense[kind])) if kind == "LDOS" else 1.0
         assert np.max(np.abs(fast - dense[kind])) <= 1e-7 * scale, kind
+    # s_matrix's four complex amplitudes, phases included
+    point = params.with_(VQ=vq)
+    for e in e_grid:
+        got, want = s_matrix(point, e), dense_s_matrix(point, e)
+        for k in MAP_KINDS[:4]:
+            assert abs(getattr(got, k) - getattr(want, k)) <= 1e-7, (e, k)
 
 
 _LONG_CHAIN = dict(
@@ -115,8 +121,9 @@ def _clear_of_levels(params, energies, vq_grid):
     """The energies at least 1 MHz from every level of the closed chain at
     each VQ. A state deep in the gap (at M, or at a qubit level) can be
     narrower than 1e-14 MHz, and on it the dense solve loses every digit:
-    at p = 34 with VM = 0 and E = 0, s_matrix gives |S_RL| = 1.8e-24, an
-    80-digit solve 0.9765 and transmission_map 0.9770."""
+    at p = 34 with VM = 0 and E = 0, dense_s_matrix gives |S_RL| of order
+    1e-24, an 80-digit solve 0.9765 and transmission_map and s_matrix
+    0.9770."""
     levels = np.concatenate([np.linalg.eigvalsh(build_hamiltonian(params.with_(VQ=float(vq))).matrix)
                              for vq in vq_grid])
     return energies[np.min(np.abs(energies[:, None] - levels), axis=1) >= 1.0]
