@@ -283,7 +283,8 @@ def read_trace_csv(path) -> TimeTrace:
     """Read a TimeTrace written by write_trace_csv: a header of t_ns, then
     one <name>_re,<name>_im pair per channel.
 
-    Malformed or non-finite data raise DataFormatError naming the file and line.
+    Malformed or non-finite data, and a header that names one channel twice,
+    raise DataFormatError naming the file and line.
     """
     header, records = read_csv(path)
     if header is None:
@@ -291,6 +292,8 @@ def read_trace_csv(path) -> TimeTrace:
     names = [col[:-3] for col in header[1::2]]
     if header != ["t_ns"] + [f"{n}_{part}" for n in names for part in ("re", "im")]:
         raise DataFormatError(f"{path}: malformed trace header {header}", line=1)
+    if len(set(names)) < len(names):
+        raise DataFormatError(f"{path}: trace header names a channel twice: {header}", line=1)
     width = 1 + 2 * len(names)
     rows = []
     for lineno, row in records:

@@ -131,7 +131,7 @@ def bidirectional_point(params: ModelParams) -> float:
     """
     modes = eigenmodes(build_hamiltonian(params.far_detuned()))
     gap = band_gap(modes, params)
-    idx = gap.in_gap_mode_indices
+    idx = in_gap_indices(modes, gap)
     if not idx:
         raise NotFoundError("no in-gap waveguide state to anchor the bidirectional point")
     centred = min(idx, key=lambda k: abs(modes.eigenvalues[k].real - gap.centre))

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .model import (
-    ModelParams, PeakSet, _waveguide_tridiagonal, gap_edges, median, percentile, site_roles,
+    ModelParams, PeakSet, _waveguide_tridiagonal, gap_edges, percentile, site_roles,
 )
 
 STAGE1_FREE = ("t1", "t2", "V", "VM")
@@ -94,7 +94,6 @@ class FitResult:
     percentile_2_5: dict = field(default_factory=dict)
     percentile_97_5: dict = field(default_factory=dict)
     std: dict = field(default_factory=dict)
-    median: dict = field(default_factory=dict)
 
     def parameter_table(self) -> dict:
         """Per-parameter {best, p2_5, p97_5, std} for JSON output."""
@@ -567,8 +566,7 @@ def bootstrap_fit(
     and refit from the point estimate, BLOCK_ROWS resamples per batched
     solve. A resample whose refit fails is dropped and counted in n_failed;
     more than 10 % failures abort. Reports per-parameter 2.5/97.5
-    percentiles, standard deviations and medians of the bootstrap
-    distribution.
+    percentiles and standard deviations of the bootstrap distribution.
     """
     if n < 100:
         raise ParameterError(f"need at least 100 bootstrap samples, got {n}")
@@ -601,12 +599,11 @@ def bootstrap_fit(
         )
     table = table[~failed]
 
-    p2, p97, std, med = {}, {}, {}, {}
+    p2, p97, std = {}, {}, {}
     for j, name in enumerate(n_ for n_ in FIT_NAMES if n_ not in fixed):
         lo, hi = percentile(table[:, j])
         p2[name], p97[name] = float(lo), float(hi)
         std[name] = float(np.std(table[:, j]))
-        med[name] = float(median(table[:, j]))
     return FitResult(
         best=point.best,
         residual_rms=point.residual_rms,
@@ -616,5 +613,4 @@ def bootstrap_fit(
         percentile_2_5=p2,
         percentile_97_5=p97,
         std=std,
-        median=med,
     )

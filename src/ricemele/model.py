@@ -29,19 +29,8 @@ RAD_PER_NS_PER_MHZ = 2e-3 * np.pi
 # bytes (p <= 2047): every command builds at least one (build_hamiltonian),
 # and its eigensolves hold a few copies more, so a run stays within a few
 # GiB. The longest chains in use (p = 200) need 10 MiB; at the bound one
-# complex eigh, O(n^3), already takes minutes.
+# dense eigensolve, O(n^3), already takes minutes.
 MAX_MATRIX_BYTES = 2**30
-
-
-def median(values) -> np.ndarray:
-    """np.median(values, axis=-1) of an array with a non-empty last axis, bit
-    for bit: the mean of the middle one or two sorted values, or NaN where
-    there is one. np.median's own NaN check imports numpy.ma on its first
-    call, about 10 ms of a cold command."""
-    s = np.sort(values, axis=-1)
-    n = s.shape[-1]
-    return np.where(np.isnan(s[..., -1]), s[..., -1],
-                    np.mean(s[..., (n - 1) // 2: n // 2 + 1], axis=-1))
 
 
 def percentile(values, q=(2.5, 97.5)) -> np.ndarray:
@@ -189,11 +178,10 @@ class PeakSet:
 
 @dataclass(frozen=True)
 class LabeledHamiltonian:
-    """Dense Hamiltonian (MHz) plus the site labels it was built with."""
+    """Dense Hamiltonian (MHz), real for a closed chain, and its site labels."""
 
     matrix: np.ndarray
     roles: SiteRoles
-    hermitian: bool
 
 
 def _waveguide_tridiagonal(p: int, V: float, t1: float, t2: float, VM: float):
@@ -221,6 +209,12 @@ def _waveguide_tridiagonal(p: int, V: float, t1: float, t2: float, VM: float):
     return d, e
 
 
+def rounding_allowance(energies):
+    """4 eps of the largest |E| of each row of energies (..., n): how far
+    rounding can move a level of that spectrum, to either side of a gap edge."""
+    return 4.0 * np.finfo(float).eps * np.abs(energies).max(axis=-1)
+
+
 def gap_edges(energies, V, t1, t2):
     """(lower, upper) band-gap edges of each row of energies (..., n), with
     V, t1 and t2 broadcast over the leading axes.
@@ -228,8 +222,8 @@ def gap_edges(energies, V, t1, t2):
     The bulk Rice-Mele bands are +-sqrt(V^2 + t1^2 + t2^2 + 2 t1 t2 cos k)
     (Rice & Mele, PRL 49, 1455 (1982)), so a level with |E| < E_b =
     sqrt(V^2 + (t1 - t2)^2) is a bound state. The lower edge is the largest
-    energy <= -E_b, the upper edge the smallest >= +E_b, each to within
-    4 eps of the row's largest |E|, so a level rounded off +-E_b (a uniform
+    energy <= -E_b, the upper edge the smallest >= +E_b, each to within the
+    row's rounding_allowance, so a level rounded off +-E_b (a uniform
     chain's zero mode at E_b = 0) is an edge; the gap is the open interval
     between them. nan where a side has no energy, which a Hermitian
     Hamiltonian of this model never gives: by interlacing with the 2 x 2
@@ -238,7 +232,7 @@ def gap_edges(energies, V, t1, t2):
     """
     e = np.asarray(energies, dtype=float)
     eb = np.hypot(V, np.subtract(t1, t2))
-    tol = 4.0 * np.finfo(float).eps * np.abs(e).max(axis=-1)
+    tol = rounding_allowance(e)
     lower = np.where(e <= (tol - eb)[..., None], e, -np.inf).max(axis=-1)
     upper = np.where(e >= (eb - tol)[..., None], e, np.inf).min(axis=-1)
     return np.where(np.isinf(lower), np.nan, lower), np.where(np.isinf(upper), np.nan, upper)
@@ -248,14 +242,15 @@ def build_hamiltonian(params: ModelParams, include_ports: bool = False) -> Label
     """Construct the full chain + qubit Hamiltonian.
 
     The waveguide block is the tridiagonal (d, e) of _waveguide_tridiagonal;
-    the qubit site Q carries VQ and the single (M, Q) bond -tQ. With
-    include_ports the self-energies sigmaL and sigmaR are added to the
-    diagonal at the two port sites, which makes the matrix non-Hermitian for
-    lossy ports.
+    the qubit site Q carries VQ and the single (M, Q) bond -tQ. Every
+    coupling is real, so the closed chain is a real symmetric (float64)
+    matrix. With include_ports the self-energies sigmaL and sigmaR are added
+    to the diagonal at the two port sites, and the matrix is complex (and
+    non-Hermitian for lossy ports).
     """
     roles = site_roles(params.p)
     d, e = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
-    h = np.zeros((roles.dim, roles.dim), dtype=complex)
+    h = np.zeros((roles.dim, roles.dim), dtype=complex if include_ports else float)
     sites = np.arange(roles.portR)
     h[sites, sites] = d
     h[sites[:-1], sites[1:]] = e
@@ -268,7 +263,7 @@ def build_hamiltonian(params: ModelParams, include_ports: bool = False) -> Label
         h[roles.portL - 1, roles.portL - 1] += complex(params.sigmaL)
         h[roles.portR - 1, roles.portR - 1] += complex(params.sigmaR)
 
-    return LabeledHamiltonian(matrix=h, roles=roles, hermitian=not include_ports)
+    return LabeledHamiltonian(matrix=h, roles=roles)
 
 
 def read_text(path) -> str:

@@ -75,14 +75,13 @@ def _half_chain(e: np.ndarray, diag: np.ndarray, bonds: np.ndarray):
     return 1.0 / dr, bonds[-1] * step, t
 
 
-def _chain_greens(params: ModelParams, e: np.ndarray) -> np.ndarray:
-    """The (portL, portR, M) block of G0 = (E - H0)^-1, the port-dressed chain
-    without the qubit, at the energies e, shape (len(e), 3, 3): the recursive
-    Green's function of Lee & Fisher (PRL 47, 882 (1981)). M splits the
-    chain, so with each side's _half_chain, G0_MM = 1 / (E - VM - sigma_L -
-    sigma_R) and G0_ab = delta_ab g_a + t_a t_b G0_MM (t_M = 1): one G0_MM
-    in every entry. A zero 1 / G0_MM (M cut off by t1 = 0, at E == VM) becomes
-    PIVOT_FLOOR: t_L = t_R = 0 there, so G0_MM drops out of every port entry."""
+def _chain_greens(params: ModelParams, e: np.ndarray):
+    """Pieces of the recursive Green's function (Lee & Fisher, PRL 47, 882
+    (1981)) of the port-dressed chain without the qubit, at the energies e:
+    M splits the chain, and each side's _half_chain gives its g at its port,
+    its sigma on M and its transfer t (G0_aM = t_a G0_MM). Returns g and t,
+    shape (len(e), 2) over (portL, portR), and 1 / G0_MM = E - VM - sigma_L
+    - sigma_R. Raises NumericalError where one is not finite."""
     d, b = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
     d = d.astype(complex)
     d[[0, -1]] += params.sigmaL, params.sigmaR
@@ -90,29 +89,33 @@ def _chain_greens(params: ModelParams, e: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g_l, sigma_l, t_l = _half_chain(e, d[:m], b[:m])
         g_r, sigma_r, t_r = _half_chain(e, d[:m:-1], b[:m - 1:-1])
-        t = np.stack([t_l, t_r, np.ones_like(t_l)], axis=1)
         inv_mm = e - d[m] - sigma_l - sigma_r
-        inv_mm[inv_mm == 0] = PIVOT_FLOOR
-        g0 = t[:, :, None] * t[:, None, :] / inv_mm[:, None, None]
-        g0[:, 0, 0] += g_l
-        g0[:, 1, 1] += g_r
-    bad = ~np.isfinite(g0).all(axis=(1, 2))
+    g, t = np.stack([g_l, g_r], axis=1), np.stack([t_l, t_r], axis=1)
+    bad = ~(np.isfinite(g).all(axis=1) & np.isfinite(t).all(axis=1) & np.isfinite(inv_mm))
     if bad.any():
         raise NumericalError(f"(E*I - H0) singular at E = {e[bad][0]} MHz")
-    return g0
+    return g, t, inv_mm
 
 
-def _fold(e: np.ndarray, vq: np.ndarray, tq2: float, g0: np.ndarray, a: int, b: int) -> np.ndarray:
-    """G_ab of the chain with the qubit at M, shape (len(e), len(vq)), from
-    G0's (portL, portR, M) block g0 at the energies e. The qubit couples
-    only to M, so its self-energy folds in exactly:
-    G_ab = G0_ab + f G0_aM G0_Mb with f = tQ^2 / (E - VQ - tQ^2 G0_MM).
-    Raises NumericalError where f's denominator is 0 (tQ = 0 at E == VQ)."""
-    den = e[:, None] - vq[None, :] - tq2 * g0[:, 2, 2, None]
-    if np.any(den == 0):
-        i, j = np.argwhere(den == 0)[0]
+def _fold(e: np.ndarray, vq: np.ndarray, tq2: float, chain, a: int, b: int) -> np.ndarray:
+    """G_ab (0 = portL, 1 = portR) of the chain with the qubit at M, shape
+    (len(e), len(vq)), from the pieces chain of _chain_greens at e. The qubit
+    is M's third self-energy tQ^2 / (E - VQ), so G_MM = 1 / (E - VM - sigma_L
+    - sigma_R - tQ^2 / (E - VQ)) and G_ab = delta_ab g_a + t_a t_b G_MM, with
+    no cancellation of large terms; at E == VQ, G_MM and S_RL are exactly 0.
+    A zero 1 / G_MM (M cut off by t1 = 0) becomes PIVOT_FLOOR, which drops
+    out with t_L = t_R = 0. NumericalError where tQ^2 / (E - VQ) is 0 / 0."""
+    g, t, inv_mm = chain
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = inv_mm[:, None] - tq2 / (e[:, None] - vq[None, :])
+    if np.isnan(den).any():
+        i, j = np.argwhere(np.isnan(den))[0]
         raise NumericalError(f"qubit self-energy singular at E = {e[i]} MHz, VQ = {vq[j]} MHz")
-    return g0[:, a, b, None] + tq2 / den * (g0[:, a, 2] * g0[:, b, 2])[:, None]
+    den[den == 0] = PIVOT_FLOOR
+    g_ab = (t[:, a] * t[:, b])[:, None] / den
+    if a == b:
+        g_ab += g[:, a, None]
+    return g_ab
 
 
 def s_matrix(params: ModelParams, E: float) -> SMatrixPoint:
@@ -129,8 +132,8 @@ def s_matrix(params: ModelParams, E: float) -> SMatrixPoint:
     if gamma_l <= 0 or gamma_r <= 0:
         raise ParameterError("both ports must be lossy: Im(sigma) < 0")
     e, vq = np.array([float(E)]), np.array([float(params.VQ)])
-    g0 = _chain_greens(params, e)
-    g_ll, g_rl, g_rr = (complex(_fold(e, vq, params.tQ ** 2, g0, a, b)[0, 0])
+    chain = _chain_greens(params, e)
+    g_ll, g_rl, g_rr = (complex(_fold(e, vq, params.tQ ** 2, chain, a, b)[0, 0])
                         for a, b in ((0, 0), (1, 0), (1, 1)))
     if not np.isfinite([g_ll, g_rl, g_rr]).all():
         raise NumericalError(f"non-finite Green's function at E = {E} MHz")
@@ -147,8 +150,8 @@ def s_matrix(params: ModelParams, E: float) -> SMatrixPoint:
 def transmission_map(params: ModelParams, E_grid, VQ_grid, kind: str = "S_RL") -> SpectrumMap:
     """|S| or LDOS (at the left port) over the grid, through the qubit self-energy.
 
-    The Green's function is s_matrix's: G0's (portL, portR, M) block comes
-    from _chain_greens for the whole E grid, and the qubit _fold runs on
+    The Green's function is s_matrix's: the chain's pieces come from
+    _chain_greens for the whole E grid, and the qubit _fold runs on
     blocks of E_BLOCK energies, with the VQ axis a broadcast. The amplitudes
     then follow from the Fisher-Lee relation of s_matrix, and LDOS is
     -Im G_LL / pi.
@@ -167,16 +170,14 @@ def transmission_map(params: ModelParams, E_grid, VQ_grid, kind: str = "S_RL") -
     if kind != "LDOS" and (gamma_l <= 0 or gamma_r <= 0):
         raise ParameterError("both ports must be lossy: Im(sigma) < 0")
 
-    # (row, column) of G in the (L, R, M) block; S_LR uses G_RL, G is symmetric
+    # (row, column) of G over the ports (L, R); S_LR uses G_RL, G is symmetric
     a, b = {"S_LL": (0, 0), "S_LR": (1, 0), "S_RL": (1, 0), "S_RR": (1, 1), "LDOS": (0, 0)}[kind]
-    tq2 = params.tQ ** 2
 
-    g0_grid = _chain_greens(params, e_grid)
+    chain = _chain_greens(params, e_grid)
     values = np.empty((e_grid.size, vq_grid.size))
     for start in range(0, e_grid.size, E_BLOCK):
         block = slice(start, start + E_BLOCK)
-        e, g0 = e_grid[block], g0_grid[block]
-        g = _fold(e, vq_grid, tq2, g0, a, b)
+        g = _fold(e_grid[block], vq_grid, params.tQ ** 2, tuple(x[block] for x in chain), a, b)
         if kind == "LDOS":
             values[block] = -g.imag / np.pi
         elif a != b:

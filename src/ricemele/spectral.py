@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import (
-    LabeledHamiltonian, ModelParams, SiteRoles, build_hamiltonian, gap_edges, site_roles,
-)
+from .model import (LabeledHamiltonian, ModelParams, SiteRoles, build_hamiltonian, gap_edges,
+                    rounding_allowance, site_roles)
 
 
 @dataclass(frozen=True)
@@ -34,12 +33,13 @@ class ModeSet:
 class BandGap:
     """Band gap of a spectrum by the bulk rule model.gap_edges: the open
     interval (lower, upper) between the levels nearest the bulk band edges
-    +-sqrt(V^2 + (t1 - t2)^2) from outside, and the modes strictly inside.
-    A uniform chain (V = 0, t1 = t2) has a zero-width gap on its zero mode."""
+    +-sqrt(V^2 + (t1 - t2)^2) from outside, and tol, the rounding_allowance
+    of the spectrum the edges came from (0 is the strict test). A uniform
+    chain (V = 0, t1 = t2) has a zero-width gap on its zero mode."""
 
     lower: float
     upper: float
-    in_gap_mode_indices: list = field(default_factory=list)
+    tol: float
 
     @property
     def centre(self) -> float:
@@ -49,15 +49,15 @@ class BandGap:
 def eigenmodes(H: LabeledHamiltonian) -> ModeSet:
     """Solve the full spectrum and weigh every mode on Q and M.
 
-    Hermitian matrices go through the symmetric solver (orthonormal
-    eigenvectors, real eigenvalues); port-dressed matrices through the
-    general solver with explicit column normalization.
+    A real symmetric matrix (a closed chain) goes through the real symmetric
+    solver; any other, a port-dressed one, through the general solver with
+    explicit column normalization.
     """
     m = H.matrix
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"matrix must be square, got shape {m.shape}")
     try:
-        if H.hermitian:
+        if np.isrealobj(m) and np.array_equal(m, m.T):
             evals, evecs = np.linalg.eigh(m)
             evals = evals.astype(complex)
         else:
@@ -85,13 +85,17 @@ def band_gap(modes: ModeSet, params: ModelParams) -> BandGap:
     """Band gap of a ModeSet by the bulk rule model.gap_edges on the real
     parts of its eigenvalues, for the chain parameters V, t1 and t2 of params."""
     energies = modes.eigenvalues.real
-    lower, upper = (float(x) for x in gap_edges(energies, params.V, params.t1, params.t2))
-    return BandGap(lower, upper, in_gap_indices(modes, BandGap(lower, upper)))
+    lower, upper = gap_edges(energies, params.V, params.t1, params.t2)
+    return BandGap(float(lower), float(upper), float(rounding_allowance(energies)))
 
 
 def in_gap_indices(modes: ModeSet, gap: BandGap) -> list:
-    """Indices of modes whose eigenvalue real part lies strictly inside gap."""
-    inside = (modes.eigenvalues.real > gap.lower) & (modes.eigenvalues.real < gap.upper)
+    """Indices of modes whose eigenvalue real part lies more than gap.tol
+    inside both edges: a level within rounding of an edge (one dark at M,
+    which no VQ moves), which a solve of another matrix puts on either side,
+    is outside."""
+    e = modes.eigenvalues.real
+    inside = (e > gap.lower + gap.tol) & (e < gap.upper - gap.tol)
     return [int(i) for i in np.flatnonzero(inside)]
 
 

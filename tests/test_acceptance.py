@@ -61,7 +61,7 @@ def test_criterion_1_ideal_edge_states():
     for vq, opposite in ((-37.5, "pop_right"), (+37.5, "pop_left")):
         modes = eigenmodes(build_hamiltonian(FIG1.with_(VQ=vq)))
         gap = band_gap(modes, FIG1)
-        idx = gap.in_gap_mode_indices
+        idx = in_gap_indices(modes, gap)
         k = max(idx, key=lambda i: modes.qubit_weight[i])
         rep = directionality(modes.eigenvectors[:, k], modes.roles,
                              "left" if vq < 0 else "right")

@@ -30,6 +30,7 @@ from ricemele.dynamics import (
     read_trace_csv,
     write_trace_csv,
 )
+from ricemele.errors import DataFormatError
 from ricemele.model import RAD_PER_NS_PER_MHZ, LabeledHamiltonian, SiteRoles, site_roles
 
 from conftest import best_quadrature
@@ -37,7 +38,7 @@ from conftest import best_quadrature
 
 def _single_site(z):
     roles = SiteRoles(dim=1, portL=1, portR=1, M=1, NL=1, NR=1, Q=1)
-    return LabeledHamiltonian(np.array([[z]], dtype=complex), roles, hermitian=(complex(z).imag == 0))
+    return LabeledHamiltonian(np.array([[z]]), roles)
 
 
 def _qubit_start(H):
@@ -167,7 +168,7 @@ def test_dressed_decay_fitted_value(fitted_params):
 def test_no_in_gap_mode_raises(fitted_params):
     from ricemele.spectral import BandGap
 
-    empty = BandGap(lower=1e5, upper=1e5 + 1.0)
+    empty = BandGap(lower=1e5, upper=1e5 + 1.0, tol=0.0)
     with pytest.raises(NotFoundError):
         dressed_in_gap_mode(fitted_params, empty)
 
@@ -322,6 +323,15 @@ def test_trace_csv_round_trip(tmp_path):
         assert np.allclose(back.channel(name), trace.channel(name), atol=1e-9)
 
 
+def test_trace_header_naming_a_channel_twice_is_a_data_error(tmp_path):
+    # the two pairs would otherwise read as the one channel a = 3 + 4j
+    path = tmp_path / "trace.csv"
+    path.write_text("t_ns,a_re,a_im,a_re,a_im\n0,1,2,3,4\n")
+    with pytest.raises(DataFormatError, match="names a channel twice") as err:
+        read_trace_csv(path)
+    assert err.value.line == 1
+
+
 def _write_trace_csv_writer(path, trace):
     """write_trace_csv as first written: csv.writer, one formatted cell at a time."""
     names = list(trace.channels)
@@ -385,7 +395,7 @@ def _jordan_like(p=1):
     # (10 - 5j) I plus 3 on the superdiagonal: cond of the eigenvector matrix ~1e105
     roles = site_roles(p)
     m = (10.0 - 5.0j) * np.eye(roles.dim) + 3.0 * np.eye(roles.dim, k=1)
-    return LabeledHamiltonian(m, roles, hermitian=False)
+    return LabeledHamiltonian(m, roles)
 
 
 def _assert_fallback_matches_expm(t):

@@ -226,7 +226,7 @@ def test_bootstrap_percentiles_are_ordered():
     obs = _synthetic(2.0, 9)
     result = bootstrap_fit(obs, INITIAL, n=150, seed=4)
     for name in ("t1", "t2", "V", "VM", "tQ", "f0"):
-        assert result.percentile_2_5[name] <= result.median[name] <= result.percentile_97_5[name]
+        assert result.percentile_2_5[name] <= result.percentile_97_5[name]
     assert result.n_bootstrap == 150
 
 
@@ -296,7 +296,6 @@ def test_bootstrap_is_deterministic_for_a_fixed_seed():
         assert first.percentile_2_5[name] == second.percentile_2_5[name]
         assert first.percentile_97_5[name] == second.percentile_97_5[name]
         assert first.std[name] == second.std[name]
-        assert first.median[name] == second.median[name]
 
 
 @settings(max_examples=40, deadline=None)

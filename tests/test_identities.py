@@ -37,9 +37,10 @@ def test_sweep_gap_is_the_secular_gap(p, t1, t2, v, v_sign, vm, tq, where):
     vq = float(lower + where * (upper - lower))
     sweep = sweep_qubit_energy(params, [vq])
     levels = sweep.eigenvalues[0].real
-    # the sweep counts the levels inside the far-detuned gap; the secular
-    # kernel those inside the bare block's, and not one within rounding of
-    # an edge (a dark mode of the block sits on it, say)
+    # the sweep counts the levels inside the far-detuned gap, the secular
+    # kernel those inside the bare block's, each without a level within
+    # rounding of an edge; draws where the two gaps hold different levels
+    # are skipped
     in_gap = sweep.in_gap[0]
     assume(in_gap.sum() == np.sum((levels > lower + 1e-9) & (levels < upper - 1e-9)) >= 2)
     dense = float(np.min(np.diff(np.sort(levels[in_gap]))))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ricemele import ModelParams, ParameterError, build_hamiltonian, site_roles
 from ricemele.cli import RunConfig, parse_config
 from ricemele.errors import DataFormatError
-from ricemele.model import median, percentile, unique
+from ricemele.model import percentile, unique
 
 
 def test_site_roles_p4():
@@ -52,8 +52,8 @@ def test_p1_matrix_against_hand_enumeration():
     }.items():
         expected[a, b] = expected[b, a] = -t
     H = build_hamiltonian(ModelParams(p=1, V=V, t1=t1, t2=t2, tQ=tQ, VQ=VQ, VM=VM))
-    assert np.array_equal(H.matrix, expected.astype(complex))
-    assert H.hermitian
+    assert H.matrix.dtype == np.float64
+    assert np.array_equal(H.matrix, expected)
 
 
 def test_hermitian_is_exact():
@@ -124,7 +124,7 @@ def test_ports_enter_diagonal(fitted_params):
     r = H.roles
     assert H.matrix[r.portL - 1, r.portL - 1] == complex(-40.0, -18.0)
     assert H.matrix[r.portR - 1, r.portR - 1] == complex(+40.0, -18.0)
-    assert not H.hermitian
+    assert H.matrix.dtype == np.complex128
 
 
 def _loop_hamiltonian(params, include_ports=False):
@@ -177,7 +177,7 @@ def test_build_matches_loop_reference(include_ports):
             )
             H = build_hamiltonian(params, include_ports=include_ports)
             assert np.array_equal(H.matrix, _loop_hamiltonian(params, include_ports))
-            assert H.hermitian is not include_ports
+            assert H.matrix.dtype == (np.complex128 if include_ports else np.float64)
 
 
 def test_non_finite_parameters_rejected():
@@ -285,8 +285,10 @@ MEDIAN_UNIQUE_CASES = [
 
 @pytest.mark.parametrize("values", MEDIAN_UNIQUE_CASES)
 def test_median_and_unique_match_numpy_bit_for_bit(values):
+    # the median as percentile's q = 50, whose weight 0.5 on an even count
+    # takes the t >= 0.5 branch
     values = np.array(values)
-    assert _bits(median(values)) == _bits(np.median(values))
+    assert _bits(percentile(values, [50.0])) == _bits(np.percentile(values, [50.0]))
     assert _bits(unique(values)) == _bits(np.unique(values))
     assert _bits(unique(values.astype(np.int64))) == _bits(np.unique(values.astype(np.int64)))
 
@@ -295,7 +297,7 @@ def test_median_and_unique_match_numpy_on_random_ties(rng):
     for size in range(1, 60):
         values = rng.integers(-3, 4, size) * 0.5
         values[rng.random(size) < 0.2] = -0.0
-        assert _bits(median(values)) == _bits(np.median(values))
+        assert _bits(percentile(values, [50.0])) == _bits(np.percentile(values, [50.0]))
         assert _bits(unique(values)) == _bits(np.unique(values))
 
 
@@ -329,10 +331,6 @@ def test_percentile_propagates_nan():
     assert np.isnan(percentile(np.array([1.0, np.nan, 3.0]))).all()
 
 
-def test_median_propagates_nan():
-    assert np.isnan(median(np.array([1.0, np.nan, 3.0])))
-
-
 # the presets' own grids, and one small enough to be thinned by index
 @pytest.mark.parametrize("preset, n_points, kinds", [
     ("fig3", None, ["f"]), ("fig4", None, ["f"]), ("fig4", 101, ["f", "i"]),
@@ -353,12 +351,3 @@ def test_unique_matches_numpy_on_resonance_grid_inputs(monkeypatch, preset, n_po
     assert [v.dtype.kind for v in seen] == kinds
     for values in seen:
         assert _bits(unique(values)) == _bits(np.unique(values))
-
-
-def test_median_matches_numpy_on_participation_ratios(fig1_params):
-    from ricemele.spectral import eigenmodes
-
-    modes = eigenmodes(build_hamiltonian(fig1_params))
-    pr = 1.0 / np.sum(np.abs(modes.eigenvectors) ** 4, axis=0)
-    assert _bits(median(pr)) == _bits(np.median(pr))
-    assert _bits(median(pr[1:])) == _bits(np.median(pr[1:]))

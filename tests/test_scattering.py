@@ -21,7 +21,7 @@ from conftest import dense_s_matrix, ldos
 def _single_site(epsilon, sigma_l, sigma_r):
     roles = SiteRoles(dim=1, portL=1, portR=1, M=1, NL=1, NR=1, Q=1)
     m = np.array([[epsilon + sigma_l + sigma_r]], dtype=complex)
-    return LabeledHamiltonian(matrix=m, roles=roles, hermitian=False)
+    return LabeledHamiltonian(matrix=m, roles=roles)
 
 
 def test_greens_poles_match_eigenvalues(rng):

@@ -203,6 +203,20 @@ def test_decoupled_qubit_on_the_grid_is_numerical_error(fitted_params, kind):
         transmission_map(params, np.linspace(-50, 50, 11), [-30.0, 0.0], kind=kind)
 
 
+def test_transmission_is_exactly_zero_at_the_qubit_energy(fitted_params):
+    # at E == VQ the qubit self-energy tQ^2 / (E - VQ) is infinite, so G_MM
+    # and with it G_RL = t_R t_L G_MM are exactly 0: the qubit pins M
+    vq = np.array([-40.0, 17.6, 300.0])
+    e_grid = np.concatenate([vq, [-39.0, 18.0]])
+    for kind in ("S_RL", "S_LR"):
+        values = transmission_map(fitted_params, e_grid, vq, kind=kind).values
+        assert np.array_equal(values[[0, 1, 2], [0, 1, 2]], np.zeros(3)), kind
+        assert (values[3:] > 0).all()
+    for v in vq:
+        point = s_matrix(fitted_params.with_(VQ=float(v)), float(v))
+        assert point.S_RL == 0 and point.S_LR == 0
+
+
 def test_map_with_m_cut_off_matches_dense_oracle(fitted_params):
     # t1 = 0 cuts M off the chain, so E - H0 is singular at E == VM, while
     # the full G, with M bound to the qubit, is regular there
