@@ -251,10 +251,11 @@ def cmd_scatter(cfg: RunConfig, outdir: Path) -> list:
 def cmd_emit(cfg: RunConfig, outdir: Path) -> list:
     """Single-excitation lattice emission plus a Bloch-model Rabi trace."""
     from .dynamics import (
-        BlochParams, bloch_rabi_trace, decay_time, dressed_in_gap_mode,
-        evolve_single_excitation, integrated_port_emission, write_trace_csv,
+        BlochParams, _in_gap_mode, bloch_rabi_trace, decay_time, evolve_single_excitation,
+        integrated_port_emission, write_trace_csv,
     )
     from .edge_states import directionality
+    from .spectral import far_detuned_gap
 
     params = cfg.model()
     t_grid = np.linspace(0.0, cfg.number("t_stop", 1500.0),
@@ -268,7 +269,7 @@ def cmd_emit(cfg: RunConfig, outdir: Path) -> list:
     write_trace_csv(lattice_path, lattice)
     wl, wr = integrated_port_emission(lattice)
 
-    energy, mode = dressed_in_gap_mode(params)
+    energy, mode = _in_gap_mode(H, far_detuned_gap(params))
     t1 = decay_time(energy)
     rep = directionality(mode, H.roles, "left")
     w_left = cfg.number("w_left", rep.pop_left)

@@ -73,14 +73,14 @@ class BlochParams:
             raise ParameterError("w_left + w_right cannot exceed 1")
 
 
-def _propagate(m: np.ndarray, rate: complex, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _propagate(m: np.ndarray, eig, rate: complex, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(rate * m * t_i) @ x0 for every t_i, one column per time.
 
-    One eigendecomposition m = U diag(lam) U^-1 serves the whole grid. If
-    cond(U) >= DEFECTIVE_COND the eigenbasis is treated as defective, and
-    each sample gets its own matrix exponential instead, on any grid.
+    One eigendecomposition eig = (lam, U) = np.linalg.eig(m) serves the whole
+    grid. If cond(U) >= DEFECTIVE_COND the eigenbasis is treated as defective,
+    and each sample gets its own matrix exponential instead, on any grid.
     """
-    lam, u = np.linalg.eig(m)
+    lam, u = eig
     if np.linalg.cond(u) < DEFECTIVE_COND:
         coeff = np.linalg.solve(u, x0)
         phases = np.exp(rate * np.outer(lam, t))
@@ -109,7 +109,7 @@ def evolve_single_excitation(H_eff: LabeledHamiltonian, psi0, t_grid) -> TimeTra
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
         raise ParameterError("time grid must be non-empty")
-    psi_t = _propagate(m, -1j * RAD_PER_NS_PER_MHZ, psi0, t)
+    psi_t = _propagate(m, H_eff.eig, -1j * RAD_PER_NS_PER_MHZ, psi0, t)
 
     roles = H_eff.roles
     sites = {f"site_{i + 1:02d}": psi_t[i] for i in range(m.shape[0])}
@@ -125,7 +125,12 @@ def dressed_in_gap_mode(params: ModelParams, gap: BandGap = None):
     maximal qubit weight."""
     if gap is None:
         gap = far_detuned_gap(params)
-    modes = eigenmodes(build_hamiltonian(params, include_ports=True))
+    return _in_gap_mode(build_hamiltonian(params, include_ports=True), gap)
+
+
+def _in_gap_mode(H_eff: LabeledHamiltonian, gap: BandGap):
+    """dressed_in_gap_mode of the port-dressed H_eff, from its eigenmodes (H_eff.eig)."""
+    modes = eigenmodes(H_eff)
     inside = in_gap_indices(modes, gap)
     if not inside:
         raise NotFoundError(
@@ -222,13 +227,10 @@ def bloch_rabi_trace(
     delta = RAD_PER_NS_PER_MHZ * bp.detuning
     off = float(np.clip(drive_on_until, t[0], t[-1]))
     driven = t <= off
-    on = _propagate(
-        _bloch_generator(omega, delta, bp.T1, bp.T2), 1.0, np.append(s, 1.0),
-        np.append(t[driven], off) - t[0],
-    ).real
-    free = _propagate(
-        _bloch_generator(0.0, delta, bp.T1, bp.T2), 1.0, on[:, -1], t[~driven] - off
-    ).real
+    drive, relax = (_bloch_generator(w, delta, bp.T1, bp.T2) for w in (omega, 0.0))
+    on = _propagate(drive, np.linalg.eig(drive), 1.0, np.append(s, 1.0),
+                    np.append(t[driven], off) - t[0]).real
+    free = _propagate(relax, np.linalg.eig(relax), 1.0, on[:, -1], t[~driven] - off).real
     out = np.concatenate([on[:3, :-1], free[:3]], axis=1)
 
     lengths = np.sqrt(np.sum(out**2, axis=0))
@@ -294,13 +296,14 @@ def read_trace_csv(path) -> TimeTrace:
         raise DataFormatError(f"{path}: malformed trace header {header}", line=1)
     if len(set(names)) < len(names):
         raise DataFormatError(f"{path}: trace header names a channel twice: {header}", line=1)
-    width = 1 + 2 * len(names)
-    rows = []
-    for lineno, row in records:
-        if len(row) != width:
-            raise DataFormatError(f"{path}: wrong column count", line=lineno)
-        rows.append(_finite_fields(path, lineno, row, width, "trace"))
-    table = np.array(rows).reshape(len(rows), width)
-    t = table[:, 0]
+    try:
+        table = np.array([row for _, row in records], dtype=float).reshape(-1, len(header))
+    except ValueError:
+        table = None
+    if table is None or len(table) != len(records) or not np.isfinite(table).all():
+        for lineno, row in records:
+            if len(row) != len(header):
+                raise DataFormatError(f"{path}: wrong column count", line=lineno)
+            _finite_fields(path, lineno, row, len(header), "trace")
     channels = {name: table[:, 1 + 2 * j] + 1j * table[:, 2 + 2 * j] for j, name in enumerate(names)}
-    return TimeTrace(t_grid=t, channels=channels)
+    return TimeTrace(t_grid=table[:, 0], channels=channels)

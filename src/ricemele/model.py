@@ -16,6 +16,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,11 @@ class LabeledHamiltonian:
 
     matrix: np.ndarray
     roles: SiteRoles
+
+    @cached_property
+    def eig(self):
+        """np.linalg.eig of the matrix, solved once for all its users."""
+        return np.linalg.eig(self.matrix)
 
 
 def _waveguide_tridiagonal(p: int, V: float, t1: float, t2: float, VM: float):

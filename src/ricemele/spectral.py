@@ -50,8 +50,8 @@ def eigenmodes(H: LabeledHamiltonian) -> ModeSet:
     """Solve the full spectrum and weigh every mode on Q and M.
 
     A real symmetric matrix (a closed chain) goes through the real symmetric
-    solver; any other, a port-dressed one, through the general solver with
-    explicit column normalization.
+    solver; any other, a port-dressed one, through the general solver (its
+    shared H.eig) with explicit column normalization.
     """
     m = H.matrix
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -61,7 +61,7 @@ def eigenmodes(H: LabeledHamiltonian) -> ModeSet:
             evals, evecs = np.linalg.eigh(m)
             evals = evals.astype(complex)
         else:
-            evals, evecs = np.linalg.eig(m)
+            evals, evecs = H.eig
             evecs = evecs / np.linalg.norm(evecs, axis=0, keepdims=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(

@@ -59,6 +59,21 @@ def heuristic_block_gap(params):
     return None if gap is None else gap[:2]
 
 
+def two_solve_in_gap_mode(params, gap):
+    """The dressed in-gap mode by the two-solve path that emit ran before one
+    eigendecomposition served both its lattice trace and this mode: eigenmodes
+    of a rebuilt port-dressed H, then the in-gap mode of largest qubit weight.
+    (eigenvalue, unit eigenvector), or None where no mode is in the gap."""
+    from ricemele import build_hamiltonian, eigenmodes, in_gap_indices
+
+    modes = eigenmodes(build_hamiltonian(params, include_ports=True))
+    inside = in_gap_indices(modes, gap)
+    if not inside:
+        return None
+    k = max(inside, key=lambda i: modes.qubit_weight[i])
+    return modes.eigenvalues[k], modes.eigenvectors[:, k]
+
+
 def _dense_columns(H, E, sites):
     """Columns of G(E) = (E - H)^-1 at the 1-based sites, by one dense solve."""
     from ricemele import NumericalError

@@ -26,6 +26,7 @@ from ricemele.dynamics import (
     DEFECTIVE_COND,
     TimeTrace,
     _bloch_generator,
+    _in_gap_mode,
     _propagate,
     read_trace_csv,
     write_trace_csv,
@@ -33,7 +34,7 @@ from ricemele.dynamics import (
 from ricemele.errors import DataFormatError
 from ricemele.model import RAD_PER_NS_PER_MHZ, LabeledHamiltonian, SiteRoles, site_roles
 
-from conftest import best_quadrature
+from conftest import best_quadrature, two_solve_in_gap_mode
 
 
 def _single_site(z):
@@ -171,6 +172,77 @@ def test_no_in_gap_mode_raises(fitted_params):
     empty = BandGap(lower=1e5, upper=1e5 + 1.0, tol=0.0)
     with pytest.raises(NotFoundError):
         dressed_in_gap_mode(fitted_params, empty)
+
+
+def _assert_same_mode(got, want):
+    """Equal (energy, vector) pairs, bit for bit."""
+    assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+    assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+
+
+def _shared_and_two_solve(params):
+    """The in-gap mode selected on the eig pair that propagated the lattice
+    trace, dressed_in_gap_mode's, and the two-solve oracle's (None if the gap
+    is empty)."""
+    gap = far_detuned_gap(params)
+    H = build_hamiltonian(params, include_ports=True)
+    evolve_single_excitation(H, _qubit_start(H), [0.0, 1.0])
+    want = two_solve_in_gap_mode(params, gap)
+    if want is None:
+        with pytest.raises(NotFoundError):
+            _in_gap_mode(H, gap)
+        with pytest.raises(NotFoundError):
+            dressed_in_gap_mode(params, gap)
+        return None
+    _assert_same_mode(_in_gap_mode(H, gap), want)
+    _assert_same_mode(dressed_in_gap_mode(params, gap), want)
+    _assert_same_mode(dressed_in_gap_mode(params), want)
+    return want
+
+
+def test_shared_selection_is_the_two_solve_mode_on_fig5(fitted_params):
+    assert _shared_and_two_solve(fitted_params) is not None
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    p=st.integers(1, 12),
+    t1=st.floats(10.0, 300.0),
+    t2=st.floats(10.0, 300.0),
+    v=st.floats(-100.0, 100.0),
+    vm=st.floats(-600.0, 600.0),
+    tq=st.floats(0.0, 200.0),
+    vq=st.floats(-150.0, 150.0),
+    gamma_l=st.floats(0.01, 60.0),
+    gamma_r=st.floats(0.01, 60.0),
+    re_l=st.floats(-20.0, 20.0),
+)
+def test_shared_selection_is_the_two_solve_mode(p, t1, t2, v, vm, tq, vq, gamma_l, gamma_r, re_l):
+    params = ModelParams(p=p, V=v, t1=t1, t2=t2, tQ=tq, VQ=vq, VM=vm,
+                         sigmaL=complex(re_l, -gamma_l), sigmaR=-1j * gamma_r)
+    _shared_and_two_solve(params)
+
+
+def test_emit_runs_one_eig_of_the_port_dressed_chain(monkeypatch, tmp_path):
+    from ricemele.cli import main
+
+    real, shapes = np.linalg.eig, []
+
+    def counted(m):
+        shapes.append(np.shape(m))
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    for p in (4, 7):
+        shapes.clear()
+        cfg = tmp_path / f"p{p}.cfg"
+        cfg.write_text(f"p = {p}\n")
+        assert main(["emit", "--preset", "fig5", "--config", str(cfg),
+                     "--out", str(tmp_path / f"p{p}")]) == 0
+        n = 4 * p + 4
+        assert shapes.count((n, n)) == 1
+        # the rest are the Bloch trace's two 4 x 4 generators
+        assert sorted(shapes) == [(4, 4), (4, 4), (n, n)]
 
 
 def test_decoupled_qubit_still_sees_defect_lifetime(fitted_params):
@@ -373,7 +445,7 @@ def test_near_defective_threshold_catches_cond_1e10():
     assert DEFECTIVE_COND <= np.linalg.cond(np.linalg.eig(m)[1]) < 1e12
     t = np.linspace(0.0, 2000.0, 41)
     with pytest.warns(UserWarning, match="near-defective"):
-        got = _propagate(m, 1.0, np.array([0.0, 1.0]), t)
+        got = _propagate(m, np.linalg.eig(m), 1.0, np.array([0.0, 1.0]), t)
     # exp(m t) (0, 1) for upper-triangular m, its divided difference through expm1
     a, b, d = m[0, 0], m[0, 1], m[1, 1]
     want = np.array([b * np.exp(a * t) * np.expm1((d - a) * t) / (d - a), np.exp(d * t)])

@@ -359,3 +359,30 @@ def test_manifest_records_the_blas_setting_openblas_read(tmp_path, order, value,
     proc = _run_python(MANIFEST_BLAS, [order, str(tmp_path / "out")], tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == recorded
+
+
+CLI = "import sys\nfrom ricemele.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+@pytest.mark.xfail(strict=False, reason="ROADMAP D21")
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # spectrum at p = 50 and emit at p = 30, the smallest chains whose bytes
+    # moved with the thread count, each under one and two OpenBLAS threads;
+    # every output but manifest.json, which records the setting, must match
+    for p in (30, 50):
+        (tmp_path / f"p{p}.cfg").write_text(f"p = {p}\n")
+    runs = (("spectrum", "fig1", 50), ("emit", "fig5", 30))
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["OPENBLAS_NUM_THREADS"] = threads
+        for command, preset, p in runs:
+            args = [command, "--preset", preset, "--config", str(tmp_path / f"p{p}.cfg"),
+                    "--out", str(tmp_path / f"{command}-{threads}")]
+            proc = _run_python(CLI, args, tmp_path, env=env)
+            assert proc.returncode == 0, proc.stderr
+    for command, _, _ in runs:
+        one, two = tmp_path / f"{command}-1", tmp_path / f"{command}-2"
+        names = sorted(path.name for path in one.iterdir() if path.name != "manifest.json")
+        assert names == sorted(path.name for path in two.iterdir() if path.name != "manifest.json")
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), f"{command}: {name}"
