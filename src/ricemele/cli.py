@@ -20,7 +20,7 @@ import numpy as np
 from . import _OPENBLAS_THREADS_READ, __version__
 from .errors import DataFormatError, NotFoundError, NumericalError, ParameterError, RiceMeleError
 from .model import (MAX_MATRIX_BYTES, ModelParams, Peak, PeakSet, _finite_fields, _write_json,
-                    build_hamiltonian, read_csv, read_text)
+                    build_hamiltonian, read_csv, read_text, site_roles)
 
 # the device fitted to the measured spectra, shared by fig3-fig5
 _FITTED_DEVICE = {"p": "4", "V": "40", "t1": "230", "t2": "280", "tQ": "130", "VQ": "17.6",
@@ -172,7 +172,7 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs: list) -
 
 def cmd_spectrum(cfg: RunConfig, outdir: Path) -> list:
     """Eigenvalue sweep CSV, edge-state population CSV, directionality JSON."""
-    from .edge_states import edge_mode, working_points
+    from .edge_states import directionality, working_point_state, working_points
     from .spectral import sweep_qubit_energy, write_sweep_csv
 
     params = cfg.model()
@@ -182,7 +182,6 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path) -> list:
     sweep_path = outdir / "sweep.csv"
     write_sweep_csv(sweep_path, sweep)
 
-    gap = sweep.gap
     vq_left, vq_right = working_points(params)
     reports = {}
     pop_path = outdir / "edge_populations.csv"
@@ -190,19 +189,14 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path) -> list:
         writer = csv.writer(fh)
         writer.writerow(["direction", "VQ_MHz", "mode_index", "site", "probability"])
         for direction, vq in (("left", vq_left), ("right", vq_right)):
-            found = edge_mode(params.with_(VQ=vq), gap, direction)
-            if found is None:
-                raise NotFoundError(f"no in-gap mode at the {direction} working point")
-            modes, best, rep = found
-            reports[direction] = {"VQ_MHz": vq, "mode_index": best, **rep.as_dict()}
-            prob = np.abs(modes.eigenvectors[:, best]) ** 2
-            for site in range(1, modes.roles.dim + 1):
-                writer.writerow(
-                    [direction, f"{vq:.10g}", best, site, f"{prob[site - 1]:.10g}"]
-                )
+            index, vec = working_point_state(params, direction)
+            rep = directionality(vec, site_roles(params.p), direction)
+            reports[direction] = {"VQ_MHz": vq, "mode_index": index, **rep.as_dict()}
+            for site, prob in enumerate(vec ** 2, start=1):
+                writer.writerow([direction, f"{vq:.10g}", index, site, f"{prob:.10g}"])
     dir_path = outdir / "directionality.json"
     _write_json(dir_path, {
-        "band_gap_MHz": {"lower": gap.lower, "upper": gap.upper},
+        "band_gap_MHz": {"lower": sweep.gap.lower, "upper": sweep.gap.upper},
         "working_points_MHz": {"left": vq_left, "right": vq_right},
         "reports": reports,
     })

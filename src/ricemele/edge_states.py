@@ -7,7 +7,7 @@ populations reported separately rather than folded into either side.
 The unidirectional working points need no search: at VQ = -V (+V) the
 qubit and the zero mode of the left (right) half-chain form an exact
 eigenstate with nothing on the other side of M, so working_points returns
-(-V, +V) and edge_mode finds the state it names.
+(-V, +V) and working_point_state builds the state it names in O(p).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NotFoundError, ParameterError
-from .model import ModelParams, SiteRoles, build_hamiltonian
-from .spectral import BandGap, band_gap, eigenmodes, in_gap_indices
+from .model import ModelParams, SiteRoles, build_hamiltonian, site_roles
+from .spectral import band_gap, eigenmodes, in_gap_indices
 
 # populations below this are treated as numerically zero -> chi = +inf
 ZERO_POP = 1e-14
@@ -86,19 +86,32 @@ def directionality(mode, roles: SiteRoles, direction: str) -> DirectionalityRepo
     )
 
 
-def edge_mode(params: ModelParams, gap: BandGap, direction: str):
-    """The in-gap mode of H(params) with the largest chi toward direction.
+def working_point_state(params: ModelParams, direction: str):
+    """(mode_index, unit vector) of the exact state that working_points names
+    for direction ('left' or 'right'), at VQ = -V or +V on the closed chain.
 
-    Returns (modes, index, report), the first such mode on ties, or None
-    when no mode lies inside the gap.
+    'left': the zero mode (-t2/t1)^k on sites 1, 3, ..., NL, k counted from
+    the port and scaled from the larger end; psi_Q = -t1 psi_NL / tQ (set as
+    tQ psi and -t1 psi_NL, so nothing overflows); M and the right half
+    exactly 0; the bare qubit at tQ = 0. 'right' mirrors it. mode_index, the
+    number of levels below E, is 2p + 1 + [V < 0] ([V > 0] for 'right').
     """
-    modes = eigenmodes(build_hamiltonian(params))
-    best = None
-    for k in in_gap_indices(modes, gap):
-        rep = directionality(modes.eigenvectors[:, k], modes.roles, direction)
-        if best is None or rep.chi > best[2].chi:
-            best = (modes, k, rep)
-    return best
+    roles = site_roles(params.p)
+    vec = np.zeros(roles.dim)
+    if params.tQ == 0:
+        vec[roles.Q - 1] = 1.0
+    else:
+        small, large = sorted((params.t1, params.t2))
+        powers = (-small / large if large else 0.0) ** np.arange(params.p + 1)
+        zero_mode = powers if params.t2 <= params.t1 else powers[::-1]
+        vec[roles.left_slice()][::2] = params.tQ * zero_mode
+        vec[roles.Q - 1] = -params.t1 * zero_mode[-1]
+        if direction == "right":
+            vec[:roles.portR] = vec[:roles.portR][::-1]
+        vec /= np.abs(vec).max()
+    vec /= math.sqrt(np.sum(vec ** 2))
+    below = params.V > 0 if direction == "right" else params.V < 0
+    return 2 * params.p + 1 + int(below), vec
 
 
 def working_points(params: ModelParams) -> tuple[float, float]:

@@ -27,10 +27,10 @@ from .errors import DataFormatError, ParameterError
 RAD_PER_NS_PER_MHZ = 2e-3 * np.pi
 
 # the largest dense (4p+4)^2 complex matrix a ModelParams may ask for, in
-# bytes (p <= 2047): every command builds at least one (build_hamiltonian),
-# and its eigensolves hold a few copies more, so a run stays within a few
-# GiB. The longest chains in use (p = 200) need 10 MiB; at the bound one
-# dense eigensolve, O(n^3), already takes minutes.
+# bytes (p <= 2047): spectrum, scatter and emit build one (build_hamiltonian),
+# fit only (4p+3)^2 stacks and chi none; the eigensolves hold a few copies
+# more, so a run stays within a few GiB. The longest chains in use (p = 200)
+# need 10 MiB; at the bound one dense eigensolve, O(n^3), takes minutes.
 MAX_MATRIX_BYTES = 2**30
 
 

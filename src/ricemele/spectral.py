@@ -25,9 +25,6 @@ class ModeSet:
     central_weight: np.ndarray
     roles: SiteRoles
 
-    def __len__(self) -> int:
-        return len(self.eigenvalues)
-
 
 @dataclass(frozen=True)
 class BandGap:

@@ -74,6 +74,23 @@ def two_solve_in_gap_mode(params, gap):
     return modes.eigenvalues[k], modes.eigenvectors[:, k]
 
 
+def dense_edge_mode(params, gap, direction):
+    """The working-point state by the route spectrum took before
+    edge_states.working_point_state built it in closed form, kept as its
+    oracle: a dense eigh of the closed chain, then the in-gap mode with the
+    largest chi toward direction, the first on ties. (modes, index, report),
+    or None where no mode lies inside the gap."""
+    from ricemele import build_hamiltonian, directionality, eigenmodes, in_gap_indices
+
+    modes = eigenmodes(build_hamiltonian(params))
+    best = None
+    for k in in_gap_indices(modes, gap):
+        rep = directionality(modes.eigenvectors[:, k], modes.roles, direction)
+        if best is None or rep.chi > best[2].chi:
+            best = (modes, k, rep)
+    return best
+
+
 def _dense_columns(H, E, sites):
     """Columns of G(E) = (E - H)^-1 at the 1-based sites, by one dense solve."""
     from ricemele import NumericalError

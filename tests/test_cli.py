@@ -208,6 +208,24 @@ def test_small_spectrum_gap_holds_the_defect_state_and_both_working_points(tmp_p
     assert right["chi"] is None and right["pop_left"] == 0.0   # chi = inf
 
 
+def test_spectrum_solves_only_the_gap_and_the_sweep(tmp_path, monkeypatch):
+    # the working-point report is built in closed form, so the only np.linalg
+    # calls of a spectrum run are the far-detuned gap's eigh and one per VQ point
+    calls = []
+
+    def counted(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if callable(real) and not isinstance(real, type):
+            monkeypatch.setattr(np.linalg, name, counted(name, real))
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_SPECTRUM_CFG)
+    assert _run(["spectrum", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    assert calls == ["eigh"] * (1 + 9)
+
+
 def test_same_seed_gives_identical_bytes(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_SPECTRUM_CFG)

@@ -18,8 +18,10 @@ from ricemele import (
     in_gap_indices,
     working_points,
 )
-from ricemele.edge_states import bidirectional_point, edge_mode
-from ricemele.model import site_roles
+from ricemele.edge_states import bidirectional_point, working_point_state
+from ricemele.model import _waveguide_tridiagonal, site_roles
+
+from conftest import dense_edge_mode
 
 
 def _in_gap_modes(params):
@@ -185,7 +187,7 @@ def test_report_invariants(vec, direction):
 
 
 def _best_in_gap_chi(params, vq, gap, direction):
-    best = edge_mode(params.with_(VQ=float(vq)), gap, direction)
+    best = dense_edge_mode(params.with_(VQ=float(vq)), gap, direction)
     return math.nan if best is None else best[2].chi
 
 
@@ -247,6 +249,113 @@ def test_working_points_give_infinite_chi(p, t1, t2, V, sign, VM, tQ):
     vq_left, vq_right = working_points(params)
     assume(gap.lower < min(vq_left, vq_right) and max(vq_left, vq_right) < gap.upper)
     for vq, direction in ((vq_left, "left"), (vq_right, "right")):
-        found = edge_mode(params.with_(VQ=vq), gap, direction)
+        found = dense_edge_mode(params.with_(VQ=vq), gap, direction)
         assert found is not None
         assert math.isinf(found[2].chi)
+
+
+def _check_against_dense(params, direction):
+    """working_point_state against a dense eigh of the chain at the working
+    point: an eigenvector at E = -V (+V) to 1e-14 max|E| whose opposite side
+    and M are exactly 0, and, where no other level lies within 1e-9 max|E|
+    of E, the dense rank as mode_index and the dense populations. Those agree
+    to 1e-12 plus the dense vector's own error, 2 n eps max|E| over the
+    distance to the next level (Davis-Kahan): on 6000 random draws the three
+    with a level within 4e-5 max|E| of E differed by up to 1.9e-11. Returns
+    (mode_index, vector, whether the rank was compared)."""
+    index, vec = working_point_state(params, direction)
+    energy = -params.V if direction == "left" else params.V
+    H = build_hamiltonian(params.with_(VQ=energy))
+    modes = eigenmodes(H)
+    scale = np.abs(modes.eigenvalues.real).max()
+    assert np.all(np.isfinite(vec)) and abs(np.sum(vec ** 2) - 1.0) <= 1e-15
+    assert np.linalg.norm(H.matrix @ vec - energy * vec) <= 1e-14 * scale
+    opposite = H.roles.right_slice() if direction == "left" else H.roles.left_slice()
+    assert np.all(vec[opposite] == 0.0) and vec[H.roles.M - 1] == 0.0
+    distance = np.abs(modes.eigenvalues.real - energy)
+    next_level = np.sort(distance)[1]   # the first is the state itself
+    compared = next_level > 1e-9 * scale
+    if compared:
+        assert index == int(np.argmin(distance))
+        dense = np.abs(modes.eigenvectors[:, index]) ** 2
+        rounding = 2 * len(vec) * np.finfo(float).eps * scale / next_level
+        assert np.max(np.abs(vec ** 2 - dense)) <= 1e-12 + rounding
+    return index, vec, compared
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.integers(1, 50),
+    v=st.floats(0.01, 100.0),
+    v_sign=st.sampled_from([-1.0, 1.0]),
+    t1=st.floats(0.1, 300.0),
+    t2=st.floats(0.1, 300.0),
+    tq=st.floats(0.1, 200.0),
+    vm=st.floats(-600.0, 600.0),
+    direction=st.sampled_from(["left", "right"]),
+)
+def test_working_point_state_is_the_dense_eigenvector(p, v, v_sign, t1, t2, tq, vm, direction):
+    params = ModelParams(p=p, V=v_sign * v, t1=t1, t2=t2, tQ=tq, VQ=0.0, VM=vm)
+    _check_against_dense(params, direction)
+
+
+@pytest.mark.parametrize("V", [37.5, -37.5])
+@pytest.mark.parametrize("direction", ["left", "right"])
+@pytest.mark.parametrize("t1, t2, tQ, support", [
+    (0.0, 150.0, 62.5, "N"),          # t1 = 0: the site next to M alone
+    (120.0, 0.0, 62.5, "port"),       # t2 = 0: the port site alone
+    (120.0, 150.0, 0.0, "Q"),         # tQ = 0: the bare qubit
+    (120.0, 120.0, 62.5, "half+Q"),   # t1 = t2: a zero mode of equal weights
+    (150.0, 120.0, 62.5, "half+Q"),   # t2 < t1: decays from the port
+    (120.0, 150.0, 62.5, "half+Q"),   # t2 > t1: grows toward M
+])
+def test_working_point_state_branches(V, direction, t1, t2, tQ, support):
+    params = ModelParams(p=3, V=V, t1=t1, t2=t2, tQ=tQ, VQ=0.0)
+    index, vec, compared = _check_against_dense(params, direction)
+    assert compared
+    assert index == 7 + (V < 0 if direction == "left" else V > 0)
+    roles = site_roles(3)
+    side = [1, 3, 5, 7] if direction == "left" else [15, 13, 11, 9]   # from the port
+    sites = {"N": side[-1:], "port": side[:1], "Q": [roles.Q],
+             "half+Q": side + [roles.Q]}[support]
+    assert sorted(np.flatnonzero(vec) + 1) == sorted(sites)
+    if support == "half+Q":
+        chain = vec[np.subtract(side, 1)]
+        assert chain[1:] / chain[:-1] == pytest.approx(np.full(3, -t2 / t1), rel=1e-14)
+
+
+@pytest.mark.parametrize("changes", [{}, {"p": 3, "t2": 120.0}, {"p": 3, "tQ": 0.0}])
+def test_working_point_state_is_the_searched_mode(fig1_params, changes):
+    # the mode that the dense search picked for spectrum's report before,
+    # on fig1 and on the t1 = t2 and tQ = 0 chains at p = 3
+    params = fig1_params.with_(**changes)
+    gap = far_detuned_gap(params)
+    for direction, vq in zip(("left", "right"), working_points(params)):
+        index, vec = working_point_state(params, direction)
+        modes, k, rep = dense_edge_mode(params.with_(VQ=vq), gap, direction)
+        assert index == k
+        mine = directionality(vec, modes.roles, direction)
+        for name in ("pop_left", "pop_right", "pop_M", "pop_Q"):
+            assert getattr(mine, name) == pytest.approx(getattr(rep, name), abs=1e-14)
+        assert math.isinf(mine.chi) and math.isinf(rep.chi)
+
+
+def test_working_point_state_stays_finite_on_the_longest_chain():
+    # t2/t1 = 30 at p = 2047: the zero mode spans 30^2047 between the port
+    # and M, far beyond double range, so only its scaling from the larger
+    # end keeps every entry finite; the residual is the tridiagonal's
+    params = ModelParams(p=2047, V=37.5, t1=5.0, t2=150.0, tQ=62.5, VQ=0.0)
+    roles = site_roles(params.p)
+    d, e = _waveguide_tridiagonal(params.p, params.V, params.t1, params.t2, params.VM)
+    for direction, energy in (("left", -37.5), ("right", 37.5)):
+        index, vec = working_point_state(params, direction)
+        assert index == 2 * params.p + 1 + (direction == "right")
+        assert np.all(np.isfinite(vec)) and abs(np.sum(vec ** 2) - 1.0) <= 1e-15
+        chain = vec[:roles.portR]
+        h_vec = np.append(d * chain, energy * vec[-1] - params.tQ * vec[roles.M - 1])
+        h_vec[:roles.portR - 1] += e * chain[1:]
+        h_vec[1:roles.portR] += e * chain[:-1]
+        h_vec[roles.M - 1] -= params.tQ * vec[-1]
+        scale = np.abs(d).max() + 2 * np.abs(e).max() + params.tQ
+        assert np.linalg.norm(h_vec - energy * vec) <= 1e-14 * scale
+        assert vec[roles.M - 1] == 0.0

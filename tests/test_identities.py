@@ -6,10 +6,12 @@ different routes catches it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from ricemele import ModelParams, NumericalError, build_hamiltonian, s_matrix, sweep_qubit_energy
+from ricemele import (ModelParams, NumericalError, build_hamiltonian, far_detuned_gap, s_matrix,
+                      sweep_qubit_energy)
 from ricemele.fitting import model_anticrossing_gap
 from ricemele.model import gap_edges
 
@@ -30,6 +32,8 @@ from ricemele.model import gap_edges
     tq=st.floats(1.0, 200.0),
     where=st.floats(0.25, 0.75),
 )
+# both gaps hold 3 levels here, but not the same ones (see the test below)
+@example(p=1, t1=34.0, t2=20.0, v=14.0, v_sign=-1.0, vm=16.0, tq=103.0, where=0.5)
 def test_sweep_gap_is_the_secular_gap(p, t1, t2, v, v_sign, vm, tq, where):
     params = ModelParams(p=p, V=v_sign * v, t1=t1, t2=t2, tQ=tq, VQ=0.0, VM=vm)
     block = build_hamiltonian(params).matrix.real[:-1, :-1]   # Q is the last site
@@ -37,14 +41,31 @@ def test_sweep_gap_is_the_secular_gap(p, t1, t2, v, v_sign, vm, tq, where):
     vq = float(lower + where * (upper - lower))
     sweep = sweep_qubit_energy(params, [vq])
     levels = sweep.eigenvalues[0].real
-    # the sweep counts the levels inside the far-detuned gap, the secular
-    # kernel those inside the bare block's, each without a level within
-    # rounding of an edge; draws where the two gaps hold different levels
-    # are skipped
+    # the sweep flags the levels inside the far-detuned gap, the secular
+    # kernel counts those inside the bare block's, each without a level
+    # within rounding of an edge; draws where the two gaps hold different
+    # levels are skipped (3, 13 and 5 of 1000 draws on seeds 0, 1 and 2)
     in_gap = sweep.in_gap[0]
-    assume(in_gap.sum() == np.sum((levels > lower + 1e-9) & (levels < upper - 1e-9)) >= 2)
+    assume(np.array_equal(in_gap, (levels > lower + 1e-9) & (levels < upper - 1e-9)))
+    assume(in_gap.sum() >= 2)
     dense = float(np.min(np.diff(np.sort(levels[in_gap]))))
     assert abs(model_anticrossing_gap(params, vq) - dense) <= 1e-9
+
+
+# One band-gap rule, still open: the sweep takes its gap from the chain with
+# the qubit parked at VM + 10 max(t1, t2, |V|, 1), the secular kernel from
+# the bare waveguide block. On this draw the block's edges are (-41.857,
+# 23.235) MHz, where its dense levels and model_anticrossing_gap agree to
+# 2e-14 (25.362368 MHz at mid-gap), but the qubit parked at 356 MHz pulls a
+# level across -E_b and far_detuned_gap gives (-22.705, 41.857).
+@pytest.mark.xfail(strict=True, reason="the far-detuned gap is not the bare block's gap")
+def test_far_detuned_gap_is_the_bare_block_gap():
+    params = ModelParams(p=1, V=-14.0, t1=34.0, t2=20.0, tQ=103.0, VQ=0.0, VM=16.0)
+    block = build_hamiltonian(params).matrix.real[:-1, :-1]
+    lower, upper = map(float, gap_edges(np.linalg.eigvalsh(block), params.V, params.t1, params.t2))
+    assert (lower, upper) == pytest.approx((-41.857, 23.235), abs=1e-3)
+    gap = far_detuned_gap(params)
+    assert (gap.lower, gap.upper) == pytest.approx((lower, upper), abs=1e-9)
 
 
 def _split_g_lr(params, E):

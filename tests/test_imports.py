@@ -366,12 +366,13 @@ CLI = "import sys\nfrom ricemele.cli import main\nsys.exit(main(sys.argv[1:]))\n
 
 @pytest.mark.xfail(strict=False, reason="ROADMAP D21")
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # spectrum at p = 50 and emit at p = 30, the smallest chains whose bytes
-    # moved with the thread count, each under one and two OpenBLAS threads;
-    # every output but manifest.json, which records the setting, must match
-    for p in (30, 50):
+    # spectrum at p = 50, emit at p = 30 and scatter's fig3 grid at p = 100,
+    # the smallest chains whose bytes moved with the thread count, each under
+    # one and two OpenBLAS threads; every output but manifest.json, which
+    # records the setting, must match
+    for p in (30, 50, 100):
         (tmp_path / f"p{p}.cfg").write_text(f"p = {p}\n")
-    runs = (("spectrum", "fig1", 50), ("emit", "fig5", 30))
+    runs = (("spectrum", "fig1", 50), ("emit", "fig5", 30), ("scatter", "fig3", 100))
     for threads in ("1", "2"):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env["OPENBLAS_NUM_THREADS"] = threads

@@ -180,7 +180,7 @@ def test_in_gap_modes_decay_and_band_modes_do_not(fig1_params):
     modes = eigenmodes(build_hamiltonian(params))
     gap = band_gap(modes, params)
     assert in_gap_indices(modes, gap) == [21]
-    band = [k for k in range(len(modes)) if k != 21 and modes.qubit_weight[k] < 0.5]
+    band = [k for k in range(len(modes.eigenvalues)) if k != 21 and modes.qubit_weight[k] < 0.5]
     assert _decays_from_m_or_the_ends(modes.eigenvectors[:, 21], params.p)
     assert not any(_decays_from_m_or_the_ends(modes.eigenvectors[:, k], params.p) for k in band)
 
